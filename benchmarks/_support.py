@@ -1,9 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper and writes
-its rows/series to ``benchmarks/results/<experiment>.txt`` (and stdout),
-so the paper-vs-measured comparison in EXPERIMENTS.md can be refreshed
-by re-running ``pytest benchmarks/ --benchmark-only``.
+Every benchmark regenerates one table or figure of the paper (or one
+performance gate) and writes its rows/series to
+``benchmarks/results/<experiment>.txt`` (and stdout); performance gates
+also append a run record to ``BENCH_<experiment>.json`` at the repo
+root.  Refresh them all with ``pytest benchmarks/ --benchmark-only``,
+or one with ``PYTHONPATH=../src python bench_<name>.py`` from
+``benchmarks/``.
 """
 
 from __future__ import annotations

@@ -1,20 +1,24 @@
 """Array-native flow-table gate: zero-object end-to-end evaluation at
 10^6 flows.
 
-PR-6 vectorized the *solver*; the workload still reached it as a list
-of a million ``FluidFlow`` objects built one Python allocation at a
-time, and profiles showed ~90% of wall-clock in that front-end.  PR-9
-adds the struct-of-arrays path (``PathPool``/``FlowTable`` →
-``CommodityTable`` → ``_CommodityProblem.from_table``) where the
-workload never leaves numpy.  This benchmark pins three promises:
+The vectorized solver once received its workload as a list of a
+million ``FluidFlow`` objects built one Python allocation at a time,
+and profiles showed ~90% of wall-clock in that front-end.  The
+struct-of-arrays path (``PathPool``/``FlowTable`` → ``CommodityTable``
+→ ``_CommodityProblem.from_table``) keeps the workload in numpy and is
+now the only front-end in ``repro``.  The object-list problem build it
+replaced is embedded below (:func:`object_problem`) as the baseline;
+both feed the same ``_progressive_fill``.  This benchmark pins three
+promises:
 
 1. **Scale** — from raw demand arrays to per-flow rates on a 10^6-flow
-   continental workload, the table path must be >= 10x the object path
-   end-to-end (workload build + problem setup + progressive fill).
+   continental workload, the table path must be >= 10x the embedded
+   object path end-to-end (workload build + problem setup + progressive
+   fill).
 2. **Exactness** — per-flow rates must match the object path to
    <= 1e-9 relative at 10^6 flows, and *bit for bit* (exact float
-   equality) on the PR-6 metro/core 10^5-flow workload pushed through
-   both front-ends.
+   equality) on the dual-homed metro/core 10^5-flow workload pushed
+   through both front-ends.
 3. **Footprint** — peak RSS after the table-path build + solve at 10^6
    flows stays under 2 GB (the table path runs first so the ceiling
    reads its footprint, not the object path's).
@@ -24,14 +28,10 @@ import resource
 import time
 
 import numpy as np
+from scipy import sparse
 
-from repro.netsim import (
-    FlowTable,
-    FluidFlow,
-    PathPool,
-    max_min_rates_table,
-    max_min_rates_vectorized,
-)
+from repro.netsim import FlowTable, FluidFlow, PathPool, max_min_rates_table
+from repro.netsim.fluid import _CommodityProblem, _progressive_fill
 
 from _support import report, write_bench_json
 
@@ -50,10 +50,67 @@ N_TIERS = 256
 MEAN_DEMAND_BPS = 2e6
 SEED = 11
 
-#: Bit-parity workload: PR-6's dual-homed 10^5-flow metro/core shape.
+#: Bit-parity workload: the dual-homed 10^5-flow metro/core shape of
+#: ``bench_fluid_engine``.
 PARITY_N_FLOWS = 100_000
 PARITY_MEAN_DEMAND_BPS = 2e7
 PARITY_SEED = 7
+
+
+def object_problem(capacities_bps, flows):
+    """The retired object-list ``_CommodityProblem`` build (baseline).
+
+    One Python pass over ``FluidFlow`` objects: flows sharing a path
+    tuple collapse into one commodity row in first-seen order, and the
+    CSR incidence is appended link by link along each new path.
+    """
+    problem = _CommodityProblem.__new__(_CommodityProblem)
+    problem.link_keys = list(capacities_bps)
+    link_index = {key: i for i, key in enumerate(problem.link_keys)}
+    problem.capacities = np.array(
+        [capacities_bps[key] for key in problem.link_keys], dtype=float
+    )
+    commodity_of_path = {}
+    flow_commodity = np.empty(len(flows), dtype=np.int64)
+    indices = []
+    indptr = [0]
+    for i, flow in enumerate(flows):
+        path = flow.path
+        c = commodity_of_path.get(path)
+        if c is None:
+            c = len(commodity_of_path)
+            commodity_of_path[path] = c
+            prev = path[0]
+            for node in path[1:]:
+                li = link_index.get((prev, node))
+                if li is None:
+                    raise KeyError(
+                        f"flow {flow.flow_id} uses unknown link {prev}->{node}"
+                    )
+                indices.append(li)
+                prev = node
+            indptr.append(len(indices))
+        flow_commodity[i] = c
+    problem.flow_ids = np.array([f.flow_id for f in flows], dtype=np.int64)
+    problem.demands = np.array([f.offered_bps for f in flows], dtype=float)
+    problem.flow_commodity = flow_commodity
+    problem.n_commodities = len(commodity_of_path)
+    problem.incidence = sparse.csr_matrix(
+        (
+            np.ones(len(indices), dtype=float),
+            np.array(indices, dtype=np.int64),
+            np.array(indptr, dtype=np.int64),
+        ),
+        shape=(problem.n_commodities, len(problem.link_keys)),
+    )
+    return problem
+
+
+def object_path_rates(capacities, flows):
+    """Per-flow rate dict through the embedded object-list build."""
+    problem = object_problem(capacities, flows)
+    rates = _progressive_fill(problem)
+    return dict(zip(problem.flow_ids.tolist(), rates.tolist()))
 
 
 def build_core_capacities():
@@ -118,7 +175,7 @@ def table_path_end_to_end(src, dst, demands, home, capacities):
 
 
 def object_path_end_to_end(src, dst, demands, home, capacities):
-    """Raw arrays -> rates through the FluidFlow-object reference."""
+    """Raw arrays -> rates through FluidFlow objects (the baseline)."""
     flows = []
     for i in range(N_FLOWS):
         s, d = int(src[i]), int(dst[i])
@@ -128,7 +185,7 @@ def object_path_end_to_end(src, dst, demands, home, capacities):
         else:
             path = (f"metro{s}", hs, hd, f"metro{d}")
         flows.append(FluidFlow(i, path, float(demands[i])))
-    return max_min_rates_vectorized(capacities, flows)
+    return object_path_rates(capacities, flows)
 
 
 def run_scale_gate(timing_rounds: int = 3):
@@ -177,7 +234,7 @@ def run_scale_gate(timing_rounds: int = 3):
 
 
 def build_parity_workload():
-    """PR-6's dual-homed metro/core 10^5-flow workload, in both forms.
+    """The dual-homed metro/core 10^5-flow workload, in both forms.
 
     Mirrors ``bench_fluid_engine.build_metro_core_workload`` (same
     seed, same draws) so the bit-identity gate runs on the exact
@@ -229,7 +286,7 @@ def build_parity_workload():
 
 def run_bit_parity_gate():
     capacities, flows, table = build_parity_workload()
-    object_rates = max_min_rates_vectorized(capacities, flows)
+    object_rates = object_path_rates(capacities, flows)
     table_rates = max_min_rates_table(capacities, table)
     as_dict = dict(zip(table.flow_ids.tolist(), table_rates.tolist()))
     return {
@@ -253,7 +310,7 @@ def bench_flow_table(benchmark=None):
         f"{scale['speedup']:7.1f}x",
         f"rate parity vs object path: {scale['parity_rel']:.3g} rel "
         f"(bar {MAX_RATE_PARITY_REL:.0e})",
-        f"bit-identical on the {bits['bit_parity_n_flows']}-flow PR-6 "
+        f"bit-identical on the {bits['bit_parity_n_flows']}-flow metro/core "
         f"workload: {bits['bit_identical']}",
         f"peak RSS after table path: "
         f"{scale['peak_rss_bytes'] / 1024**3:.2f} GiB "
@@ -269,7 +326,7 @@ def bench_flow_table(benchmark=None):
     )
     assert bits["bit_identical"], (
         "table front-end is not bit-identical to the object path on "
-        "the PR-6 metro/core workload"
+        "the metro/core workload"
     )
     assert scale["peak_rss_bytes"] <= MAX_PEAK_RSS_BYTES, (
         f"table-path peak RSS {scale['peak_rss_bytes'] / 1024**3:.2f} GiB "

@@ -1,17 +1,20 @@
 """Fluid-engine gate: vectorized commodity-aggregate solver vs the
 scalar reference, at million-flow scale.
 
-PR-6 rewrote progressive filling as whole-array numpy/scipy work over
-path commodities (flows sharing a path collapse into one sparse
-incidence row; demand-limited flows freeze in bulk through one globally
-demand-sorted array).  This benchmark pins three promises:
+The fluid engine runs progressive filling as whole-array numpy/scipy
+work over path commodities (flows sharing a path collapse into one
+sparse incidence row; demand-limited flows freeze in bulk through one
+globally demand-sorted array).  The scalar per-flow fill it replaced is
+embedded below (:func:`scalar_max_min_rates`) as the baseline.  This
+benchmark pins three promises:
 
 1. **Scale** — on a ~10^5-flow continental metro/core workload (240
    dual-homed metros behind a 24-core full mesh, heavy-tail demands
    quantized to 256 service tiers, pushed past saturation), the
-   vectorized solver must be >= 50x the scalar reference.
-2. **Exactness** — per-flow rates must match the (fixed) scalar solver
-   to <= 1e-6 relative, on the big workload and on small random ones;
+   vectorized solver (``FluidFlow`` list in, rates out) must be >= 50x
+   the scalar reference.
+2. **Exactness** — per-flow rates must match the scalar reference to
+   <= 1e-6 relative, on the big workload and on small random ones;
    the vectorization is an optimization, not a remodelling.
 3. **Fidelity** — behind ``run_udp_experiment``, the fluid engine's
    mean per-flow throughput must stay within 10% of the packet engine
@@ -25,11 +28,12 @@ import numpy as np
 
 from repro.core import solve_heuristic
 from repro.netsim import FlowMonitor, Network, Simulator, UdpFlow
-from repro.netsim.experiments import build_edge_specs, kept_flow_shares
+from repro.netsim.experiments import build_edge_specs, kept_flow_table
+from repro.netsim.flowtable import FlowTable
 from repro.netsim.fluid import (
+    _EPS_BPS,
     FluidFlow,
-    max_min_rates,
-    max_min_rates_vectorized,
+    max_min_rates_table,
     solve_fluid,
 )
 from repro.scenarios import us_scenario
@@ -57,6 +61,67 @@ LOAD_FRACTION = 1.3
 RATE_SCALE = 2e-3
 DURATION_S = 1.0
 CAPACITY_MODE = "tight"
+
+
+def scalar_max_min_rates(capacities_bps, flows):
+    """Max-min fair rates via scalar progressive filling (baseline).
+
+    Per-round Python loops over a residual-capacity dict.  Each round
+    takes the largest uniform step every active flow can take (the
+    smaller of the least remaining demand and the least link fair
+    share), then freezes the satisfied flows and every flow on a link
+    within epsilon of that step.
+    """
+    for flow in flows:
+        for u, v in zip(flow.path[:-1], flow.path[1:]):
+            if (u, v) not in capacities_bps:
+                raise KeyError(f"flow {flow.flow_id} uses unknown link {u}->{v}")
+    alloc = {flow.flow_id: 0.0 for flow in flows}
+    remaining = {flow.flow_id: flow.offered_bps for flow in flows}
+    residual = dict(capacities_bps)
+    on_link = {}
+    for flow in flows:
+        for u, v in zip(flow.path[:-1], flow.path[1:]):
+            on_link.setdefault((u, v), set()).add(flow.flow_id)
+    active = set(alloc)
+    while active:
+        demand_step = min(remaining[fid] for fid in active)
+        min_share = float("inf")
+        for link, users in on_link.items():
+            if not users:
+                continue
+            share = residual[link] / len(users)
+            if share < min_share:
+                min_share = share
+        step = max(min(demand_step, min_share), 0.0)
+        bottlenecks = [
+            link
+            for link, users in on_link.items()
+            if users and residual[link] / len(users) <= step + _EPS_BPS
+        ]
+        for fid in active:
+            alloc[fid] += step
+            remaining[fid] -= step
+        for link, users in on_link.items():
+            if users:
+                residual[link] -= step * len(users)
+        frozen = {fid for fid in active if remaining[fid] <= _EPS_BPS}
+        for link in bottlenecks:
+            frozen |= on_link[link]
+        if not frozen:  # numerical safety: freeze everything and stop
+            frozen = set(active)
+        for fid in frozen:
+            for link, users in on_link.items():
+                users.discard(fid)
+        active -= frozen
+    return alloc
+
+
+def vectorized_max_min_rates(capacities, flows):
+    """The engine's solver, from a ``FluidFlow`` list to a rate dict."""
+    table = FlowTable.from_flows(flows)
+    rates = max_min_rates_table(capacities, table)
+    return dict(zip(table.flow_ids.tolist(), rates.tolist()))
 
 
 def build_metro_core_workload():
@@ -137,12 +202,12 @@ def run_scale_gate(timing_rounds: int = 3):
     vec_rates = None
     for _ in range(timing_rounds):
         t0 = time.perf_counter()
-        vec_rates = max_min_rates_vectorized(capacities, flows)
+        vec_rates = vectorized_max_min_rates(capacities, flows)
         vec_times.append(time.perf_counter() - t0)
     vectorized_s = float(np.median(vec_times))
 
     t0 = time.perf_counter()
-    scalar_rates = max_min_rates(capacities, flows)
+    scalar_rates = scalar_max_min_rates(capacities, flows)
     scalar_s = time.perf_counter() - t0
 
     offered = sum(f.offered_bps for f in flows)
@@ -162,8 +227,8 @@ def run_small_parity_gate(n_seeds: int = 6) -> float:
     worst = 0.0
     for seed in range(n_seeds):
         capacities, flows = small_random_workload(seed)
-        vec = max_min_rates_vectorized(capacities, flows)
-        sca = max_min_rates(capacities, flows)
+        vec = vectorized_max_min_rates(capacities, flows)
+        sca = scalar_max_min_rates(capacities, flows)
         worst = max(worst, worst_rel_diff(vec, sca))
     return worst
 
@@ -178,13 +243,13 @@ def run_packet_parity_gate():
         capacity_mode=CAPACITY_MODE,
     )
     node_names = {s.a for s in specs} | {s.b for s in specs}
-    kept, kept_mass = kept_flow_shares(
+    pool, path_ids, shares, kept_mass = kept_flow_table(
         topology.routed_paths(), topology.design.traffic, node_names, 2e-4
     )
     offered_bps = AGGREGATE_GBPS * 1e9 * RATE_SCALE * LOAD_FRACTION
     flows = [
-        (fid, path, offered_bps * h / kept_mass)
-        for fid, (_pair, path, h) in enumerate(kept)
+        (fid, pool.path_names(path_id), offered_bps * h / kept_mass)
+        for fid, (path_id, h) in enumerate(zip(path_ids.tolist(), shares.tolist()))
     ]
 
     sim = Simulator()
@@ -275,7 +340,7 @@ def bench_fluid_engine(benchmark=None):
     if benchmark is not None:
         capacities, flows = build_metro_core_workload()
         benchmark.pedantic(
-            lambda: max_min_rates_vectorized(capacities, flows),
+            lambda: vectorized_max_min_rates(capacities, flows),
             rounds=1,
             iterations=1,
         )

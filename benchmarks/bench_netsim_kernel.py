@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core import solve_heuristic
 from repro.netsim import FlowMonitor, Network, Simulator, UdpFlow
-from repro.netsim.experiments import build_edge_specs, kept_flow_shares
+from repro.netsim.experiments import build_edge_specs, kept_flow_table
 from repro.netsim.fluid import FluidFlow, solve_fluid
 from repro.scenarios import us_scenario
 
@@ -328,13 +328,15 @@ def build_workload():
         queue_packets=QUEUE_PACKETS, capacity_mode=CAPACITY_MODE,
     )
     node_names = {s.a for s in specs} | {s.b for s in specs}
-    kept, kept_mass = kept_flow_shares(
+    pool, path_ids, shares, kept_mass = kept_flow_table(
         topology.routed_paths(), topology.design.traffic, node_names, 2e-4
     )
     offered_bps = AGGREGATE_GBPS * 1e9 * RATE_SCALE * LOAD_FRACTION
     flows = [
-        (flow_id, node_path, offered_bps * h / kept_mass)
-        for flow_id, (_pair, node_path, h) in enumerate(kept)
+        (flow_id, pool.path_names(path_id), offered_bps * h / kept_mass)
+        for flow_id, (path_id, h) in enumerate(
+            zip(path_ids.tolist(), shares.tolist())
+        )
     ]
     return specs, flows
 

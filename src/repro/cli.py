@@ -352,7 +352,6 @@ def _cmd_netsim(args: argparse.Namespace) -> int:
             demand_seed=args.demand_seed,
             users_millions=args.users_millions,
             transport=args.transport,
-            workload=args.workload,
             profile=args.profile,
         ),
     )
@@ -644,21 +643,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=800.0)
     p.add_argument("--gbps", type=float, default=100.0,
                    help="design aggregate the network is provisioned for")
-    from .exp.spec import DEMAND_MODELS, ENGINES, TRANSPORTS, WORKLOADS
+    from .exp.spec import DEMAND_MODELS, ENGINES, TRANSPORTS
 
     p.add_argument(
         "--engine",
         default="packet",
         choices=ENGINES,
         help="packet: per-packet simulation; fluid: max-min fast path",
-    )
-    p.add_argument(
-        "--workload",
-        default="object",
-        choices=WORKLOADS,
-        help="object: reference per-flow FluidFlow list; table: "
-             "array-native flow tables (fluid engine only, "
-             "bit-identical results)",
     )
     p.add_argument(
         "--profile",

@@ -46,10 +46,9 @@ DEMAND_MODELS = ("design", "users")
 #: each flow at its Mathis-model rate (fluid engine only).
 TRANSPORTS = ("udp", "tcp")
 
-#: How the fluid workload is materialized: "object" builds the
-#: reference per-flow ``FluidFlow`` list; "table" keeps flows in
-#: struct-of-arrays tables end to end (fluid engine only, bit-identical
-#: results, million-flow-capable setup).
+#: Accepted values of the ``NetsimSpec.workload`` key.  The key selects
+#: nothing (every fluid solve runs on flow tables); it stays in the
+#: schema because stored specs and sweep-journal fingerprints name it.
 WORKLOADS = ("object", "table")
 
 
@@ -198,9 +197,13 @@ class NetsimSpec:
             counts (users model only).
         transport: "udp" (open-loop offers) or "tcp" (Mathis macro-model
             caps; requires ``engine="fluid"``).
-        workload: "object" (reference per-flow ``FluidFlow`` list) or
-            "table" (array-native flow tables; requires
-            ``engine="fluid"``; bit-identical results).
+        workload: "object" or "table"; validated but selects nothing.
+            Every fluid solve runs on array-native flow tables.  The
+            key stays because committed specs (the benchmark's
+            flagship among them) and sweep-journal fingerprints name
+            it, and unknown spec fields are rejected; it is not part
+            of the netsim stage payload.  "table" requires
+            ``engine="fluid"``.
         profile: include the fluid engine's per-phase wall-clock
             timings (setup/fill/freeze) in each record row.  Off by
             default: timings are nondeterministic, and default records

@@ -185,7 +185,6 @@ def _netsim_payload(spec: ExperimentSpec) -> dict:
             None if ns.users_millions is None else float(ns.users_millions)
         ),
         "transport": ns.transport,
-        "workload": ns.workload,
         "profile": bool(ns.profile),
     }
 
@@ -215,7 +214,6 @@ def _run_netsim(spec: ExperimentSpec, inputs: dict[str, Any]):
         demand_seed=ns.demand_seed,
         users_millions=ns.users_millions,
         transport=ns.transport,
-        workload=ns.workload,
         profile=ns.profile,
     )
 
@@ -396,7 +394,11 @@ STAGES: dict[str, Stage] = {
         # (object/table) and profile knobs, load-curve invariants are
         # hoisted out of the per-load loop (values unchanged), and
         # profile=True rows carry setup/fill/freeze timing counters.
-        version="3",
+        # v4: one fluid path — the payload dropped the workload knob
+        # (the spec keeps the key; it selects nothing) and the packet
+        # engine reads the kept flows from the route pool (records
+        # unchanged).
+        version="4",
         deps=lambda spec: ("design",),
         payload=_netsim_payload,
         run=_run_netsim,

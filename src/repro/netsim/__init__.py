@@ -5,7 +5,6 @@ from .experiments import (
     DEMAND_MODELS,
     ENGINES,
     TRANSPORTS,
-    WORKLOADS,
     FailureRerouteResult,
     UdpExperimentResult,
     hybrid_routing_graph,
@@ -16,15 +15,10 @@ from .experiments import (
     run_udp_experiment,
 )
 from .fluid import (
-    SOLVERS,
     FluidFlow,
-    FluidResult,
     FluidTableResult,
     aggregate_capacities,
-    flows_from_table,
-    max_min_rates,
     max_min_rates_table,
-    max_min_rates_vectorized,
     solve_fluid,
 )
 from .flowtable import CommodityTable, FlowTable, PathPool
@@ -49,26 +43,20 @@ __all__ = [
     "DEMAND_MODELS",
     "ENGINES",
     "MATHIS_C",
-    "SOLVERS",
     "TRANSPORTS",
-    "WORKLOADS",
     "CommodityTable",
     "Event",
     "FlowTable",
     "FluidFlow",
-    "FluidResult",
     "FluidTableResult",
     "PathPool",
     "RoutingCache",
     "Simulator",
     "aggregate_capacities",
-    "flows_from_table",
     "hybrid_routing_graph",
     "kept_flow_table",
     "mathis_rate_bps",
-    "max_min_rates",
     "max_min_rates_table",
-    "max_min_rates_vectorized",
     "solve_fluid",
     "solve_fluid_tcp",
     "FailureRerouteResult",

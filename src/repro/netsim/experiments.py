@@ -26,7 +26,7 @@ from ..core.topology import Topology
 from ..geo.coords import SPEED_OF_LIGHT_KM_S
 from ..traffic.matrices import user_demand_matrix
 from .engine import Simulator
-from .fluid import FluidFlow, solve_fluid
+from .fluid import solve_fluid
 from .flows import DEFAULT_UDP_PACKET_BYTES, UdpFlow
 from .flowtable import FlowTable, PathPool
 from .monitor import FlowMonitor
@@ -34,14 +34,13 @@ from .network import EdgeSpec, Network
 from .routing import RoutingCache
 from .tcpmodel import solve_fluid_tcp
 
-# The engine/demand-model/transport/workload lists are owned by the
+# The engine/demand-model/transport lists are owned by the
 # (dependency-light) spec module so the spec layer, this package, and
 # the CLI validate against one copy.
 from ..exp.spec import (  # noqa: E402 - re-exported for callers
     DEMAND_MODELS,
     ENGINES,
     TRANSPORTS,
-    WORKLOADS,
 )
 
 
@@ -146,48 +145,21 @@ def build_edge_specs(
     return list(specs.values())
 
 
-def kept_flow_shares(
-    routes: dict[tuple[int, int], list[int]],
-    traffic: np.ndarray,
-    node_names: set[str],
-    min_flow_rate_fraction: float,
-) -> tuple[list[tuple[tuple[int, int], tuple[str, ...], float]], float]:
-    """Commodities worth simulating, as (pair, node path, demand share).
-
-    Drops the long tail of tiny flows (they dominate event count but
-    not load) and any route leaving the simulated node set; the second
-    return value is the kept demand mass, for renormalizing rates so
-    the full offered aggregate is still injected.
-    """
-    total_h = np.triu(traffic, k=1).sum()
-    kept: list[tuple[tuple[int, int], tuple[str, ...], float]] = []
-    kept_mass = 0.0
-    for (s, t), path in routes.items():
-        h = traffic[s, t] / total_h
-        if h < min_flow_rate_fraction:
-            continue
-        node_path = tuple(str(v) for v in path)
-        if any(name not in node_names for name in node_path):
-            continue
-        kept.append(((s, t), node_path, h))
-        kept_mass += h
-    return kept, kept_mass
-
-
 def kept_flow_table(
     routes: dict[tuple[int, int], list[int]],
     traffic: np.ndarray,
     node_names: set[str],
     min_flow_rate_fraction: float,
 ) -> tuple[PathPool, np.ndarray, np.ndarray, float]:
-    """Array-native :func:`kept_flow_shares`: no per-flow tuples.
+    """Commodities worth simulating, as rows of the route pool.
 
-    Returns ``(pool, path_ids, shares, kept_mass)``: the route pool,
-    the kept pairs' pool rows (in route-dict order, the same order
-    ``kept_flow_shares`` emits), their demand shares, and the kept
-    demand mass.  The shares and the mass are computed with the exact
-    scalar expressions of the object path, so downstream demands — and
-    therefore rates — are bit-identical between the two front-ends.
+    Drops the long tail of tiny flows (they dominate event count but
+    not load) and any route leaving the simulated node set.  Returns
+    ``(pool, path_ids, shares, kept_mass)``: the route pool (row ``p``
+    is the ``p``-th route in dict order), the kept pairs' pool rows in
+    route order, their demand shares, and the kept demand mass, for
+    renormalizing rates so the full offered aggregate is still
+    injected.
     """
     total_h = np.triu(traffic, k=1).sum()
     pool = PathPool.from_routes(routes, n_sites=traffic.shape[0])
@@ -205,8 +177,8 @@ def kept_flow_table(
         count=len(pool.node_names),
     )
     keep = ~(h < min_flow_rate_fraction) & pool.within_mask(allowed)
-    # Sequential sum in kept order — the same accumulation (and the
-    # same float) as the object path's ``kept_mass += h`` loop.
+    # Sequential sum in kept order, so the mass (and every rate
+    # derived from it) is reproducible bit for bit.
     kept_mass = float(sum(h[keep].tolist()))
     return pool, np.flatnonzero(keep).astype(np.int64), h[keep], kept_mass
 
@@ -222,17 +194,13 @@ class _ExperimentSetup:
     """
 
     specs: list[EdgeSpec]
-    node_names: set[str]
-    routes: dict[tuple[int, int], list[int]]
     offered_aggregate_gbps: float
     rate_scale: float
     kept_mass: float
-    # Object workload: (pair, node path, share) triples.
-    kept: list[tuple[tuple[int, int], tuple[str, ...], float]] | None
-    # Table workload: route pool + kept pool rows + shares.
-    pool: PathPool | None
-    path_ids: np.ndarray | None
-    shares: np.ndarray | None
+    # Kept flows: route pool + kept pool rows + demand shares.
+    pool: PathPool
+    path_ids: np.ndarray
+    shares: np.ndarray
 
     def offered_bps(self, input_rate_fraction: float) -> float:
         return (
@@ -248,7 +216,6 @@ def _validate_experiment_params(
     engine: str,
     demand_model: str,
     transport: str,
-    workload: str,
 ) -> None:
     """The shared argument checks, in their historical order."""
     if not 0 < input_rate_fraction <= 1.5:
@@ -269,15 +236,6 @@ def _validate_experiment_params(
             "transport='tcp' is a fluid-engine macro-model; the packet "
             "engine simulates TCP per-packet via TcpFlow instead"
         )
-    if workload not in WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r} (choose from {WORKLOADS})"
-        )
-    if workload == "table" and engine != "fluid":
-        raise ValueError(
-            "workload='table' is the fluid engine's array-native fast "
-            "path; use engine='fluid'"
-        )
 
 
 def _prepare_experiment(
@@ -291,7 +249,6 @@ def _prepare_experiment(
     demand_hour_utc: float,
     demand_seed: int,
     users_millions: float | None,
-    workload: str,
 ) -> _ExperimentSetup:
     """Build the load-invariant half of an experiment."""
     design = topology.design
@@ -320,27 +277,16 @@ def _prepare_experiment(
         capacity_mode=capacity_mode,
     )
     node_names = {spec.a for spec in specs} | {spec.b for spec in specs}
-    routes = topology.routed_paths()
-    if workload == "table":
-        pool, path_ids, shares, kept_mass = kept_flow_table(
-            routes, traffic, node_names, min_flow_rate_fraction
-        )
-        kept = None
-    else:
-        kept, kept_mass = kept_flow_shares(
-            routes, traffic, node_names, min_flow_rate_fraction
-        )
-        pool = path_ids = shares = None
+    pool, path_ids, shares, kept_mass = kept_flow_table(
+        topology.routed_paths(), traffic, node_names, min_flow_rate_fraction
+    )
     if kept_mass <= 0:
         raise ValueError("no flows above the rate cutoff")
     return _ExperimentSetup(
         specs=specs,
-        node_names=node_names,
-        routes=routes,
         offered_aggregate_gbps=offered_aggregate_gbps,
         rate_scale=rate_scale,
         kept_mass=kept_mass,
-        kept=kept,
         pool=pool,
         path_ids=path_ids,
         shares=shares,
@@ -363,7 +309,6 @@ def run_udp_experiment(
     demand_seed: int = 0,
     users_millions: float | None = None,
     transport: str = "udp",
-    workload: str = "object",
     _setup: _ExperimentSetup | None = None,
 ) -> UdpExperimentResult:
     """One Fig 5 / Fig 11 load point.
@@ -400,12 +345,9 @@ def run_udp_experiment(
         transport: ``"udp"`` offers demand open-loop; ``"tcp"`` caps
             each flow at its Mathis macro-model rate and iterates loss
             to a fixed point (fluid engine only).
-        workload: ``"object"`` builds the reference ``FluidFlow`` list;
-            ``"table"`` keeps the workload in arrays end to end (fluid
-            engine only) — bit-identical results, no per-flow objects.
     """
     _validate_experiment_params(
-        input_rate_fraction, engine, demand_model, transport, workload
+        input_rate_fraction, engine, demand_model, transport
     )
     setup = (
         _setup
@@ -421,7 +363,6 @@ def run_udp_experiment(
             demand_hour_utc,
             demand_seed,
             users_millions,
-            workload,
         )
     )
     specs = setup.specs
@@ -429,29 +370,16 @@ def run_udp_experiment(
     offered_bps = setup.offered_bps(input_rate_fraction)
 
     if engine == "fluid":
-        if workload == "table":
-            # Array fast path: per-flow demands, positivity filter, and
-            # flow ids (positions in the kept list, exactly like the
-            # object path's enumerate) all stay in numpy.
-            demands = offered_bps * setup.shares / kept_mass
-            positive = demands > 0
-            flow_table = FlowTable(
-                pool=setup.pool,
-                path_id=setup.path_ids[positive],
-                demand_bps=demands[positive],
-                flow_ids=np.flatnonzero(positive).astype(np.int64),
-            )
-            flows = flow_table.to_commodities()
-        else:
-            flows = [
-                FluidFlow(
-                    flow_id=flow_id,
-                    path=node_path,
-                    offered_bps=offered_bps * h / kept_mass,
-                )
-                for flow_id, (_pair, node_path, h) in enumerate(setup.kept)
-                if offered_bps * h / kept_mass > 0
-            ]
+        # Per-flow demands, positivity filter, and flow ids (positions
+        # in the kept rows) all stay in numpy.
+        demands = offered_bps * setup.shares / kept_mass
+        positive = demands > 0
+        flows = FlowTable(
+            pool=setup.pool,
+            path_id=setup.path_ids[positive],
+            demand_bps=demands[positive],
+            flow_ids=np.flatnonzero(positive).astype(np.int64),
+        ).to_commodities()
         if transport == "tcp":
             result = solve_fluid_tcp(
                 specs, flows, packet_bytes=DEFAULT_UDP_PACKET_BYTES
@@ -468,14 +396,15 @@ def run_udp_experiment(
             timings_s=result.timings_s,
         )
 
-    kept = setup.kept
     sim = Simulator()
     net = Network.from_edges(sim, specs)
     monitor = FlowMonitor(sim)
     for link in net.links.values():
         monitor.watch_link(link)
+    # Packet flow ids count the flows actually started (dense), and
+    # each flow's arrival seed derives from its id.
     flow_id = 0
-    for _pair, node_path, h in kept:
+    for path_id, h in zip(setup.path_ids.tolist(), setup.shares.tolist()):
         rate = offered_bps * h / kept_mass
         if rate <= 0:
             continue
@@ -484,7 +413,7 @@ def run_udp_experiment(
             net,
             monitor,
             flow_id,
-            node_path,
+            setup.pool.path_names(path_id),
             rate_bps=rate,
             seed=seed * 100_003 + flow_id,
         )
@@ -516,7 +445,6 @@ def run_load_curve(
     demand_seed: int = 0,
     users_millions: float | None = None,
     transport: str = "udp",
-    workload: str = "object",
     profile: bool = False,
 ) -> list[dict]:
     """The full Fig 5 load curve as tidy records (the netsim stage).
@@ -539,7 +467,7 @@ def run_load_curve(
             # Validate with the first load point (preserving the
             # historical error order), then hoist the invariants.
             _validate_experiment_params(
-                float(load), engine, demand_model, transport, workload
+                float(load), engine, demand_model, transport
             )
             setup = _prepare_experiment(
                 topology,
@@ -552,7 +480,6 @@ def run_load_curve(
                 demand_hour_utc,
                 demand_seed,
                 users_millions,
-                workload,
             )
         res = run_udp_experiment(
             topology,
@@ -568,7 +495,6 @@ def run_load_curve(
             demand_seed=demand_seed,
             users_millions=users_millions,
             transport=transport,
-            workload=workload,
             _setup=setup,
         )
         row = {
@@ -638,9 +564,11 @@ def run_failure_reroute_experiment(
         design_aggregate_gbps * 1e9 * rate_scale * input_rate_fraction
     )
     node_names = {s.a for s in specs} | {s.b for s in specs}
-    kept, kept_mass = kept_flow_shares(
+    pool, path_ids, shares, kept_mass = kept_flow_table(
         routes, design.traffic, node_names, min_flow_rate_fraction
     )
+    pairs = list(routes)  # pool row p is the route of pairs[p]
+    kept = list(zip(path_ids.tolist(), shares.tolist()))
 
     def crosses_failed(path: list[int]) -> bool:
         a, b = failed_link
@@ -654,7 +582,8 @@ def run_failure_reroute_experiment(
     cache = RoutingCache(topology.graph_view(), weight="latency")
     cache.fail_link(*failed_link)
     new_routes: dict[tuple[int, int], list[int]] = {}
-    for (s, t), _node_path, _h in kept:
+    for path_id, _h in kept:
+        s, t = pairs[path_id]
         if not crosses_failed(routes[(s, t)]):
             continue
         try:
@@ -690,9 +619,10 @@ def run_failure_reroute_experiment(
     flows: dict[int, UdpFlow] = {}
     affected: list[tuple[int, tuple[int, int], float]] = []
     flow_id = 0
-    for (s, t), node_path, h in kept:
+    for path_id, h in kept:
+        s, t = pairs[path_id]
         flow = UdpFlow(
-            sim, net, monitor, flow_id, node_path,
+            sim, net, monitor, flow_id, pool.path_names(path_id),
             rate_bps=offered_bps * h / kept_mass,
             seed=seed * 7919 + flow_id,
         )

@@ -1,8 +1,6 @@
 """Array-native flow workloads: struct-of-arrays tables for the fluid engine.
 
-The fluid solver itself has been vectorized since the commodity-
-aggregate rewrite, but its *inputs* were still per-flow Python objects:
-a million :class:`~repro.netsim.fluid.FluidFlow` instances cost more to
+A million :class:`~repro.netsim.fluid.FluidFlow` instances cost more to
 build and validate than the progressive fill costs to solve.  This
 module keeps the workload in numpy arrays from demand generation to the
 solver:
@@ -14,21 +12,20 @@ solver:
   whole-array operations.
 * :class:`FlowTable` — per-flow ``path_id`` / ``demand_bps`` /
   ``flow_ids`` columns over a pool.  Construction validates the whole
-  table vectorized (positive demand, used paths >= 2 nodes and
+  table vectorized (finite positive demand, used paths >= 2 nodes and
   edge-simple) with the same error messages as ``FluidFlow``.
 * :class:`CommodityTable` — flows collapsed by path *value* into
-  commodities in first-seen flow order, exactly mirroring the object
-  path's ``_CommodityProblem`` collapse, so the two front-ends feed the
-  solver bit-identical problems.
+  commodities in first-seen flow order: the solver's input.
 
-``solve_fluid`` / ``solve_fluid_tcp`` accept these tables directly (see
-:mod:`repro.netsim.fluid`); the ``FluidFlow``-list path remains the
-reference and produces bit-identical rates.
+``solve_fluid`` / ``solve_fluid_tcp`` (see :mod:`repro.netsim.fluid`)
+solve these tables; a ``FluidFlow`` list reaches them through
+:meth:`FlowTable.from_flows`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,25 +93,17 @@ class PathPool:
         the paths in first-appearance order.
         """
         paths = [tuple(p) for p in paths]
+        flat = list(itertools.chain.from_iterable(paths))
         if node_names is None:
-            seen: dict[str, int] = {}
-            for path in paths:
-                for name in path:
-                    if name not in seen:
-                        seen[name] = len(seen)
-            node_names = tuple(seen)
+            node_names = tuple(dict.fromkeys(flat))
         index = {name: i for i, name in enumerate(node_names)}
         try:
             nodes = np.fromiter(
-                (index[name] for path in paths for name in path),
-                dtype=np.int64,
-                count=sum(len(p) for p in paths),
+                map(index.__getitem__, flat), dtype=np.int64, count=len(flat)
             )
         except KeyError as exc:
             raise ValueError(f"path node {exc.args[0]!r} not in node_names") from None
-        counts = np.fromiter(
-            (len(p) for p in paths), dtype=np.int64, count=len(paths)
-        )
+        counts = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return cls(node_names=node_names, nodes=nodes, indptr=indptr)
 
@@ -177,8 +166,15 @@ class PathPool:
             return ok
         counts = edge_indptr[1:] - edge_indptr[:-1]
         rows = np.repeat(np.arange(len(path_ids), dtype=np.int64), counts)
+        n_codes = len(self.node_names) ** 2
         codes = edge_u * len(self.node_names) + edge_v
-        order = np.lexsort((codes, rows))
+        if len(path_ids) * n_codes < 2**63:
+            # One (row, code) key: already sorted by row, so the stable
+            # sort only reorders within each path's short run — several
+            # times faster than lexsort.
+            order = np.argsort(rows * n_codes + codes, kind="stable")
+        else:
+            order = np.lexsort((codes, rows))
         dup = (rows[order][1:] == rows[order][:-1]) & (
             codes[order][1:] == codes[order][:-1]
         )
@@ -237,6 +233,21 @@ def _used_rows(
     return np.flatnonzero(mask), rank[path_id]
 
 
+def _check_demands(demand_bps: np.ndarray, flow_ids: np.ndarray) -> None:
+    """Every demand finite and positive; a bad one names its flow."""
+    if len(demand_bps) == 0:
+        return
+    finite = np.isfinite(demand_bps)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(
+            f"flow {int(flow_ids[first])} offered rate must be finite "
+            f"(got {demand_bps[first]})"
+        )
+    if demand_bps.min() <= 0:
+        raise ValueError("offered rate must be positive")
+
+
 def _check_used_paths(
     pool: PathPool, path_id: np.ndarray, flow_ids: np.ndarray
 ) -> None:
@@ -268,7 +279,7 @@ class FlowTable:
     Attributes:
         pool: the shared path pool.
         path_id: pool row per flow.
-        demand_bps: offered (maximum) rate per flow; must be positive.
+        demand_bps: offered (maximum) rate per flow; finite and positive.
         flow_ids: caller-visible flow ids (results key off these).
     """
 
@@ -286,9 +297,24 @@ class FlowTable:
         n = len(self.path_id)
         if len(self.demand_bps) != n or len(self.flow_ids) != n:
             raise ValueError("flow columns must have equal length")
-        if n and self.demand_bps.min() <= 0:
-            raise ValueError("offered rate must be positive")
+        _check_demands(self.demand_bps, self.flow_ids)
         _check_used_paths(self.pool, self.path_id, self.flow_ids)
+
+    @classmethod
+    def from_flows(cls, flows) -> "FlowTable":
+        """A table from ``FluidFlow``-like objects, in list order.
+
+        Each distinct path (by value) becomes one pool row; node ids
+        follow first appearance.
+        """
+        row_of: dict[tuple[str, ...], int] = {}
+        path_id = [row_of.setdefault(f.path, len(row_of)) for f in flows]
+        return cls(
+            pool=PathPool.from_paths(row_of),
+            path_id=np.array(path_id, dtype=np.int64),
+            demand_bps=np.array([f.offered_bps for f in flows], dtype=float),
+            flow_ids=np.array([f.flow_id for f in flows], dtype=np.int64),
+        )
 
     @property
     def n_flows(self) -> int:
@@ -308,9 +334,7 @@ class FlowTable:
         """Collapse flows sharing a path *value* into commodities.
 
         Commodity rows appear in first-seen flow order and two pool rows
-        with identical node sequences collapse into one commodity —
-        exactly the object path's ``_CommodityProblem`` semantics, so
-        both front-ends hand the solver the same problem bit for bit.
+        with identical node sequences collapse into one commodity.
         """
         n = self.n_flows
         if n == 0:
@@ -323,9 +347,16 @@ class FlowTable:
                 flow_ids=self.flow_ids,
             )
         used, inverse = _used_rows(self.path_id, self.pool.n_paths)
+        # Group equal node sequences: sort the padded rows
+        # lexicographically and start a group wherever a row differs
+        # from its predecessor.
         rows = self.pool.padded_rows(used)
-        _, group_of_used = np.unique(rows, axis=0, return_inverse=True)
-        group = group_of_used.reshape(-1)[inverse]
+        sort = np.lexsort(rows.T[::-1])
+        starts = np.ones(len(sort), dtype=bool)
+        starts[1:] = (rows[sort[1:]] != rows[sort[:-1]]).any(axis=1)
+        group_of_used = np.empty(len(sort), dtype=np.int64)
+        group_of_used[sort] = np.cumsum(starts) - 1
+        group = group_of_used[inverse]
         n_groups = int(group.max()) + 1
         first = np.full(n_groups, n, dtype=np.int64)
         np.minimum.at(first, group, np.arange(n, dtype=np.int64))
@@ -354,7 +385,7 @@ class CommodityTable:
         pool: the shared path pool.
         commodity_path: pool row per commodity.
         flow_commodity: commodity index per flow.
-        demand_bps: offered rate per flow; must be positive.
+        demand_bps: offered rate per flow; finite and positive.
         flow_ids: caller-visible flow ids.
     """
 
@@ -378,8 +409,7 @@ class CommodityTable:
         n = len(self.flow_commodity)
         if len(self.demand_bps) != n or len(self.flow_ids) != n:
             raise ValueError("flow columns must have equal length")
-        if n and self.demand_bps.min() <= 0:
-            raise ValueError("offered rate must be positive")
+        _check_demands(self.demand_bps, self.flow_ids)
         if n and (
             self.flow_commodity.min() < 0
             or self.flow_commodity.max() >= len(self.commodity_path)

@@ -8,23 +8,22 @@ fluids on their fixed paths; link bandwidth is shared max-min fairly
 ramp together until a link saturates or a flow hits its offered rate,
 the constrained flows freeze, and filling continues with the rest.
 
-Two solvers implement the same allocation:
-
-* ``max_min_rates`` — the scalar reference: explicit per-round Python
-  loops over a residual-capacity dict.  Exact and readable; O(rounds x
-  (flows + links)) interpreter work, so it is the small-workload
-  reference, not the scale path.
-* ``max_min_rates_vectorized`` — the commodity-aggregate solver behind
-  ``solve_fluid``: flows sharing a path collapse into one demand row,
-  path->link incidence is a scipy sparse matrix, and every progressive-
-  filling round is whole-array numpy work.  Because all unfrozen flows
-  always sit at one *global* fill level, a flow's final rate is
-  ``min(demand, theta_P)`` where ``theta_P`` is the fill level at which
-  its path's first link saturated — so the solve only tracks per-
-  commodity freeze levels plus a single globally demand-sorted flow
-  array, and demand-limited flows freeze in bulk per round.  This is
-  what makes million-flow commodity aggregates tractable (see
-  ``benchmarks/bench_fluid_engine.py``).
+Every solve runs one path: a :class:`~repro.netsim.flowtable.FlowTable`
+collapses into a :class:`~repro.netsim.flowtable.CommodityTable`
+(flows sharing a path become one demand row), which becomes a
+:class:`_CommodityProblem` (path->link incidence as a scipy sparse
+matrix), which :func:`_progressive_fill` solves with whole-array numpy
+rounds.  Because all unfrozen flows always sit at one *global* fill
+level, a flow's final rate is ``min(demand, theta_P)`` where
+``theta_P`` is the fill level at which its path's first link saturated
+— so the solve only tracks per-commodity freeze levels plus a single
+globally demand-sorted flow array, and demand-limited flows freeze in
+bulk per round.  This is what makes million-flow commodity aggregates
+tractable (see ``benchmarks/bench_fluid_engine.py``).  A list of
+:class:`FluidFlow` objects is still accepted; it is converted once by
+:meth:`FlowTable.from_flows <repro.netsim.flowtable.FlowTable.from_flows>`.
+The scalar per-flow progressive fill the allocation is tested against
+lives in ``tests/fluid_oracle.py``.
 
 The engine consumes the same :class:`~repro.netsim.network.EdgeSpec`
 capacities and node paths as the packet engine, so an experiment can
@@ -34,6 +33,7 @@ API (see :func:`repro.netsim.experiments.run_udp_experiment`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from time import perf_counter
@@ -67,7 +67,8 @@ class FluidFlow:
             edge-simple (no directed link twice): allocation treats a
             path as a *set* of links, so a repeated edge would receive
             half the load the latency/utilization accounting charges it.
-        offered_bps: the flow's offered (maximum) rate.
+        offered_bps: the flow's offered (maximum) rate; finite and
+            positive.
     """
 
     flow_id: int
@@ -75,6 +76,11 @@ class FluidFlow:
     offered_bps: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.offered_bps):
+            raise ValueError(
+                f"flow {self.flow_id} offered rate must be finite "
+                f"(got {self.offered_bps})"
+            )
         if self.offered_bps <= 0:
             raise ValueError("offered rate must be positive")
         if len(self.path) < 2:
@@ -99,12 +105,19 @@ def _path_is_edge_simple(path: tuple[str, ...]) -> bool:
 
 
 @dataclass(frozen=True)
-class FluidResult:
+class FluidTableResult:
     """Steady-state max-min allocation for one workload.
 
+    Aligned per-flow arrays: entry ``i`` of ``rates_bps`` /
+    ``offered_bps`` / ``latencies_s`` belongs to ``flow_ids[i]``.
+    Aggregate properties (``loss_rate``, ``mean_latency_s`` ...) sum
+    sequentially in flow order, so experiment rows are reproducible
+    bit for bit.
+
     Attributes:
-        rates_bps: allocated rate per flow id.
-        offered_bps: offered rate per flow id.
+        flow_ids: caller-visible flow ids.
+        rates_bps: allocated rate per flow.
+        offered_bps: offered rate per flow.
         latencies_s: static per-flow path latency (propagation plus one
             packet serialization per hop; queueing is not modelled).
         link_utilization: per directed link, allocated load / capacity —
@@ -113,77 +126,9 @@ class FluidResult:
             raises rather than being clamped out of sight.
         timings_s: wall-clock seconds per solve phase (``setup_s`` —
             problem construction, ``fill_s`` — progressive filling,
-            ``freeze_s`` — result accounting), or None when the result
-            was assembled outside :func:`solve_fluid`.  Excluded from
-            equality: two solves of the same workload are the same
-            result however long they took.
-    """
-
-    rates_bps: dict[int, float]
-    offered_bps: dict[int, float]
-    latencies_s: dict[int, float]
-    link_utilization: dict[tuple[str, str], float]
-    timings_s: dict[str, float] | None = field(default=None, compare=False)
-
-    @property
-    def total_offered_bps(self) -> float:
-        return sum(self.offered_bps.values())
-
-    @property
-    def total_rate_bps(self) -> float:
-        return sum(self.rates_bps.values())
-
-    @property
-    def loss_rate(self) -> float:
-        """Offered load the allocation could not carry, as a fraction."""
-        offered = self.total_offered_bps
-        if offered <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.total_rate_bps / offered)
-
-    @property
-    def mean_rate_bps(self) -> float:
-        if not self.rates_bps:
-            return 0.0
-        return self.total_rate_bps / len(self.rates_bps)
-
-    @property
-    def max_link_utilization(self) -> float:
-        return max(self.link_utilization.values(), default=0.0)
-
-    def mean_latency_s(self) -> float:
-        """Throughput-weighted mean path latency."""
-        total = self.total_rate_bps
-        if total <= 0:
-            return 0.0
-        return (
-            sum(
-                self.latencies_s[fid] * rate
-                for fid, rate in self.rates_bps.items()
-            )
-            / total
-        )
-
-
-@dataclass(frozen=True)
-class FluidTableResult:
-    """Array-native max-min allocation result (the table fast path).
-
-    The same accounting as :class:`FluidResult` with aligned arrays in
-    place of per-flow dicts: entry ``i`` of ``rates_bps`` /
-    ``offered_bps`` / ``latencies_s`` belongs to ``flow_ids[i]``.
-    Aggregate properties (``loss_rate``, ``mean_latency_s`` ...) are
-    computed with the same sequential summation order as the dict
-    result, so an experiment row built from either form is bit-identical.
-
-    Attributes:
-        flow_ids: caller-visible flow ids.
-        rates_bps: allocated rate per flow.
-        offered_bps: offered rate per flow.
-        latencies_s: static path latency per flow.
-        link_utilization: per directed link, allocated load / capacity.
-        timings_s: wall-clock seconds per phase (``setup_s`` /
-            ``fill_s`` / ``freeze_s``); excluded from equality.
+            ``freeze_s`` — result accounting).  Excluded from equality:
+            two solves of the same workload are the same result however
+            long they took.
     """
 
     flow_ids: np.ndarray
@@ -235,115 +180,6 @@ class FluidTableResult:
         return dict(zip(self.flow_ids.tolist(), self.rates_bps.tolist()))
 
 
-def flows_from_table(
-    table: FlowTable | CommodityTable,
-) -> list[FluidFlow]:
-    """Expand a table workload into the reference ``FluidFlow`` list.
-
-    The bridge from the array-native front-end to the scalar reference
-    solver (and to parity tests): flows come out in table order with
-    their table flow ids and one shared path tuple per commodity.
-    """
-    if isinstance(table, FlowTable):
-        table = table.to_commodities()
-    paths = [table.pool.path_names(int(p)) for p in table.commodity_path]
-    return [
-        FluidFlow(flow_id=int(fid), path=paths[int(c)], offered_bps=float(d))
-        for fid, c, d in zip(
-            table.flow_ids, table.flow_commodity, table.demand_bps
-        )
-    ]
-
-
-def _check_flows(
-    capacities_bps: dict[tuple[str, str], float],
-    flows: list[FluidFlow],
-) -> None:
-    # Flows sharing a path object share its validity; checking each
-    # distinct path once (by identity) keeps shared-path workloads from
-    # re-walking the same links per flow.
-    seen: set[int] = set()
-    for flow in flows:
-        path = flow.path
-        if id(path) in seen:
-            continue
-        seen.add(id(path))
-        for u, v in zip(path[:-1], path[1:]):
-            if (u, v) not in capacities_bps:
-                raise KeyError(f"flow {flow.flow_id} uses unknown link {u}->{v}")
-
-
-def max_min_rates(
-    capacities_bps: dict[tuple[str, str], float],
-    flows: list[FluidFlow],
-) -> dict[int, float]:
-    """Max-min fair rates via progressive filling (scalar reference).
-
-    Args:
-        capacities_bps: directed link capacities keyed by (u, v).
-        flows: the demands; a flow freezes early when its allocation
-            reaches ``offered_bps`` (demand-limited flows don't hog
-            their bottleneck share).
-
-    Each round freezes at least one flow (bottlenecked or satisfied),
-    so the loop runs at most ``len(flows)`` times over the link set.
-    Bottleneck detection is two-pass: the first pass finds the minimum
-    fair share over all loaded links, the realized step is the minimum
-    of that and the demand step, and only then are links within epsilon
-    of the realized step collected as bottlenecks — a link whose share
-    falls just *below* the demand step can never be filled past its
-    residual (the historical epsilon-asymmetric bug).
-    """
-    _check_flows(capacities_bps, flows)
-
-    alloc = {flow.flow_id: 0.0 for flow in flows}
-    remaining = {flow.flow_id: flow.offered_bps for flow in flows}
-    residual = dict(capacities_bps)
-    on_link: dict[tuple[str, str], set[int]] = {}
-    for flow in flows:
-        for u, v in zip(flow.path[:-1], flow.path[1:]):
-            on_link.setdefault((u, v), set()).add(flow.flow_id)
-    active = set(alloc)
-
-    while active:
-        # The largest uniform increment every active flow can take.
-        demand_step = min(remaining[fid] for fid in active)
-        # Pass 1: the minimum fair share over all loaded links.
-        min_share = float("inf")
-        for link, users in on_link.items():
-            if not users:
-                continue
-            share = residual[link] / len(users)
-            if share < min_share:
-                min_share = share
-        step = max(min(demand_step, min_share), 0.0)
-        # Pass 2: every link within epsilon of the realized step is a
-        # bottleneck (epsilon-symmetric: the step itself never exceeds
-        # any link's share, so no residual is driven below zero).
-        bottlenecks = [
-            link
-            for link, users in on_link.items()
-            if users and residual[link] / len(users) <= step + _EPS_BPS
-        ]
-        for fid in active:
-            alloc[fid] += step
-            remaining[fid] -= step
-        for link, users in on_link.items():
-            if users:
-                residual[link] -= step * len(users)
-
-        frozen = {fid for fid in active if remaining[fid] <= _EPS_BPS}
-        for link in bottlenecks:
-            frozen |= on_link[link]
-        if not frozen:  # numerical safety: freeze everything and stop
-            frozen = set(active)
-        for fid in frozen:
-            for link, users in on_link.items():
-                users.discard(fid)
-        active -= frozen
-    return alloc
-
-
 class _CommodityProblem:
     """Flows collapsed into path commodities over an indexed link set.
 
@@ -354,74 +190,18 @@ class _CommodityProblem:
     ``incidence`` of shape (n_commodities, n_links).
     """
 
-    def __init__(
-        self,
-        capacities_bps: dict[tuple[str, str], float],
-        flows: list[FluidFlow],
-    ) -> None:
-        self.link_keys = list(capacities_bps)
-        link_index = {key: i for i, key in enumerate(self.link_keys)}
-        self.capacities = np.array(
-            [capacities_bps[key] for key in self.link_keys], dtype=float
-        )
-
-        # Collapse flows sharing a path into one commodity row, building
-        # the CSR incidence (row c = link indices of path c) in the same
-        # pass; unknown links surface here, exactly once per path.
-        commodity_of_path: dict[tuple[str, ...], int] = {}
-        self.paths: list[tuple[str, ...]] = []
-        flow_commodity = np.empty(len(flows), dtype=np.int64)
-        indices: list[int] = []
-        indptr = [0]
-        index_of = link_index.get
-        append_link = indices.append
-        for i, flow in enumerate(flows):
-            path = flow.path
-            c = commodity_of_path.get(path)
-            if c is None:
-                c = len(self.paths)
-                commodity_of_path[path] = c
-                self.paths.append(path)
-                prev = path[0]
-                for node in path[1:]:
-                    li = index_of((prev, node))
-                    if li is None:
-                        raise KeyError(
-                            f"flow {flow.flow_id} uses unknown link "
-                            f"{prev}->{node}"
-                        )
-                    append_link(li)
-                    prev = node
-                indptr.append(len(indices))
-            flow_commodity[i] = c
-
-        self.flow_ids = np.array([f.flow_id for f in flows], dtype=np.int64)
-        self.demands = np.array([f.offered_bps for f in flows], dtype=float)
-        self.flow_commodity = flow_commodity
-        self.incidence = sparse.csr_matrix(
-            (
-                np.ones(len(indices), dtype=float),
-                np.array(indices, dtype=np.int64),
-                np.array(indptr, dtype=np.int64),
-            ),
-            shape=(len(self.paths), len(self.link_keys)),
-        )
-        self.n_commodities = len(self.paths)
-
     @classmethod
     def from_table(
         cls,
         capacities_bps: dict[tuple[str, str], float],
         table: CommodityTable,
     ) -> "_CommodityProblem":
-        """The same problem, built from a :class:`CommodityTable`.
+        """The problem for a :class:`CommodityTable`.
 
         All-array construction: path edges come from the pool in one
         gather, the link lookup is a searchsorted over integer edge
         codes, and the CSR incidence lands with columns in traversal
-        order and rows in first-seen commodity order — byte-identical
-        to what ``__init__`` builds from the equivalent ``FluidFlow``
-        list, just without the million-object detour.
+        order and rows in first-seen commodity order.
         """
         self = cls.__new__(cls)
         self.link_keys = list(capacities_bps)
@@ -453,8 +233,8 @@ class _CommodityProblem:
         else:
             bad = np.ones(len(codes), dtype=bool)
         if bad.any():
-            # First offense in (commodity, traversal) order — the same
-            # edge the object path trips over first.
+            # First offense in (commodity, traversal) order: the first
+            # flow, walking its path, that names a missing link.
             first = int(np.argmax(bad))
             commodity = int(np.searchsorted(edge_indptr, first, side="right")) - 1
             fid = int(table.first_flow_ids()[commodity])
@@ -462,7 +242,6 @@ class _CommodityProblem:
             v = pool.node_names[int(edge_v[first])]
             raise KeyError(f"flow {fid} uses unknown link {u}->{v}")
         indices = code_order[pos].astype(np.int64)
-        self.paths = None  # table-built problems carry no name tuples
         self.flow_ids = table.flow_ids
         self.demands = table.demand_bps
         self.flow_commodity = table.flow_commodity
@@ -576,8 +355,8 @@ def _progressive_fill(problem: _CommodityProblem) -> np.ndarray:
                 # processed when the global pointer passes them later.
                 orig_to_cur[frozen_orig] = -1
         if delta <= 0.0 and crossed == 0 and not froze_any:
-            # Numerical safety valve (mirrors the scalar solver): no
-            # progress is possible, freeze everything at the level.
+            # Numerical safety valve: no progress is possible, freeze
+            # everything at the level.
             remaining = k > 0
             theta[col_map[remaining]] = level
             k[remaining] = 0.0
@@ -597,29 +376,6 @@ def _progressive_fill(problem: _CommodityProblem) -> np.ndarray:
             orig_to_cur[col_map] = np.arange(len(col_map), dtype=np.int64)
 
     return np.minimum(problem.demands, theta[problem.flow_commodity])
-
-
-def max_min_rates_vectorized(
-    capacities_bps: dict[tuple[str, str], float],
-    flows: list[FluidFlow],
-) -> dict[int, float]:
-    """Max-min fair rates via the vectorized commodity-aggregate solver.
-
-    Allocation-identical to :func:`max_min_rates` (up to floating-point
-    noise; see the parity gate in ``benchmarks/bench_fluid_engine.py``)
-    but runs progressive filling as whole-array numpy/scipy operations
-    over path commodities, so million-flow workloads solve in well under
-    a second instead of minutes.
-    """
-    if not flows:
-        return {}
-    problem = _CommodityProblem(capacities_bps, flows)
-    rates = _progressive_fill(problem)
-    return dict(zip(problem.flow_ids.tolist(), rates.tolist()))
-
-
-#: Named rate solvers behind :func:`solve_fluid`.
-SOLVERS = ("vectorized", "scalar")
 
 
 def aggregate_capacities(
@@ -664,11 +420,11 @@ def max_min_rates_table(
     capacities_bps: dict[tuple[str, str], float],
     table: FlowTable | CommodityTable,
 ) -> np.ndarray:
-    """Max-min fair rates for a table workload, as a per-flow array.
+    """Max-min fair rates over a directed capacity map, per flow.
 
-    The array-native counterpart of :func:`max_min_rates_vectorized`:
-    same solver, same allocation, but the workload never leaves numpy.
-    Entry ``i`` of the result belongs to ``table.flow_ids[i]``.
+    The solver behind :func:`solve_fluid` without the edge-spec
+    expansion and the latency/utilization accounting.  Entry ``i`` of
+    the result belongs to ``table.flow_ids[i]``.
     """
     if isinstance(table, FlowTable):
         table = table.to_commodities()
@@ -701,30 +457,30 @@ def _assemble_accounting(
     return latencies, utilization
 
 
-def _solve_fluid_table(
+def solve_fluid(
     specs: list[EdgeSpec],
-    table: FlowTable | CommodityTable,
-    packet_bytes: int,
-    solver: str,
+    flows: list[FluidFlow] | FlowTable | CommodityTable,
+    packet_bytes: int = 500,
 ) -> FluidTableResult:
-    """The array-native solve: table in, aligned result arrays out."""
+    """Allocate max-min rates over a network built from edge specs.
+
+    ``packet_bytes`` only affects the static latency estimate (one
+    serialization per hop), mirroring the packet engine's uniform UDP
+    size.  ``flows`` is a :class:`FlowTable` / :class:`CommodityTable`,
+    or a ``FluidFlow`` list (converted by :meth:`FlowTable.from_flows`).
+    """
     t0 = perf_counter()
-    if isinstance(table, FlowTable):
-        table = table.to_commodities()
+    if not isinstance(flows, (FlowTable, CommodityTable)):
+        flows = FlowTable.from_flows(flows)
+    if isinstance(flows, FlowTable):
+        flows = flows.to_commodities()
     capacities, delays = aggregate_capacities(specs)
-    problem = _CommodityProblem.from_table(capacities, table)
+    problem = _CommodityProblem.from_table(capacities, flows)
     t1 = perf_counter()
-    if solver == "vectorized":
-        rates = _progressive_fill(problem)
-    else:
-        # The scalar reference needs per-flow objects; expanding here
-        # keeps solver="scalar" meaning "the reference allocation" for
-        # tables too (at the reference's object cost).
-        rate_map = max_min_rates(capacities, flows_from_table(table))
-        rates = np.array(
-            [rate_map[int(fid)] for fid in problem.flow_ids], dtype=float
-        )
+    rates = _progressive_fill(problem)
     t2 = perf_counter()
+    # Per-commodity latency and per-link load via the same incidence
+    # matrix the solver filled over.
     latencies, utilization = _assemble_accounting(
         problem, delays, rates, packet_bytes
     )
@@ -734,61 +490,6 @@ def _solve_fluid_table(
         rates_bps=rates,
         offered_bps=problem.demands,
         latencies_s=latencies,
-        link_utilization=utilization,
-        timings_s={
-            "setup_s": t1 - t0,
-            "fill_s": t2 - t1,
-            "freeze_s": t3 - t2,
-        },
-    )
-
-
-def solve_fluid(
-    specs: list[EdgeSpec],
-    flows: list[FluidFlow] | FlowTable | CommodityTable,
-    packet_bytes: int = 500,
-    solver: str = "vectorized",
-) -> FluidResult | FluidTableResult:
-    """Allocate max-min rates over a network built from edge specs.
-
-    ``packet_bytes`` only affects the static latency estimate (one
-    serialization per hop), mirroring the packet engine's uniform UDP
-    size.  ``solver`` selects the vectorized commodity-aggregate engine
-    (default) or the scalar reference implementation.
-
-    ``flows`` is either the reference ``FluidFlow`` list (returns a
-    :class:`FluidResult`) or an array-native :class:`FlowTable` /
-    :class:`CommodityTable` (returns a :class:`FluidTableResult` and
-    never materializes per-flow objects).  Both forms produce
-    bit-identical rates, latencies, and utilizations.
-    """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r} (choose from {SOLVERS})")
-    if isinstance(flows, (FlowTable, CommodityTable)):
-        return _solve_fluid_table(specs, flows, packet_bytes, solver)
-    t0 = perf_counter()
-    capacities, delays = aggregate_capacities(specs)
-    problem = _CommodityProblem(capacities, flows)
-    t1 = perf_counter()
-    if solver == "vectorized":
-        rates = _progressive_fill(problem)
-    else:
-        rate_map = max_min_rates(capacities, flows)
-        rates = np.array(
-            [rate_map[int(fid)] for fid in problem.flow_ids], dtype=float
-        )
-    t2 = perf_counter()
-    # Vectorized accounting: per-commodity latency and per-link load via
-    # the same incidence matrix the solver filled over.
-    latencies, utilization = _assemble_accounting(
-        problem, delays, rates, packet_bytes
-    )
-    flow_ids = problem.flow_ids.tolist()
-    t3 = perf_counter()
-    return FluidResult(
-        rates_bps=dict(zip(flow_ids, rates.tolist())),
-        offered_bps=dict(zip(flow_ids, problem.demands.tolist())),
-        latencies_s=dict(zip(flow_ids, latencies.tolist())),
         link_utilization=utilization,
         timings_s={
             "setup_s": t1 - t0,

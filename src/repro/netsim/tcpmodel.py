@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .fluid import FluidFlow, FluidResult, FluidTableResult, solve_fluid
+from .fluid import FluidFlow, FluidTableResult, solve_fluid
 from .flowtable import CommodityTable, FlowTable
 from .network import EdgeSpec
 from .tcp import DEFAULT_MSS_BYTES
@@ -70,17 +70,14 @@ def _solve_fluid_tcp_table(
     tolerance: float,
     mss_bytes: int,
     packet_bytes: int,
-    solver: str,
 ) -> FluidTableResult:
-    """The Mathis fixed point over an array-native workload.
+    """The Mathis fixed point, elementwise over the flow arrays.
 
-    Elementwise-identical to the ``FluidFlow``-list loop — same offer
-    cap, same damped loss update, same convergence test — but each
-    iterate re-demands the fixed :class:`CommodityTable` instead of
-    materializing a fresh million-object flow list.
+    Each iterate re-demands the fixed :class:`CommodityTable`, so the
+    path set is built and validated once.
     """
     # One solve at the application demands fixes the (static) RTTs.
-    base = solve_fluid(specs, table, packet_bytes=packet_bytes, solver=solver)
+    base = solve_fluid(specs, table, packet_bytes=packet_bytes)
     rtt = 2.0 * base.latencies_s
     if np.any(rtt <= 0):
         raise ValueError("RTT must be positive")
@@ -92,10 +89,7 @@ def _solve_fluid_tcp_table(
     for _ in range(iterations):
         offers = np.minimum(demand, mathis_num / (rtt * np.sqrt(p)))
         result = solve_fluid(
-            specs,
-            table.with_demands(offers),
-            packet_bytes=packet_bytes,
-            solver=solver,
+            specs, table.with_demands(offers), packet_bytes=packet_bytes
         )
         offered = result.offered_bps
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -119,8 +113,7 @@ def solve_fluid_tcp(
     tolerance: float = 1e-6,
     mss_bytes: int = DEFAULT_MSS_BYTES,
     packet_bytes: int = 500,
-    solver: str = "vectorized",
-) -> FluidResult | FluidTableResult:
+) -> FluidTableResult:
     """Fluid allocation under the Mathis TCP macro-model.
 
     ``flows`` carry the *application* demand (an upper bound on what
@@ -128,75 +121,30 @@ def solve_fluid_tcp(
     rate at the flow's current loss estimate, and the loss estimate
     relaxes toward the unserved fraction of the offer under ``damping``
     until it moves less than ``tolerance`` (or ``iterations`` runs out).
-
-    ``flows`` may also be an array-native :class:`FlowTable` /
-    :class:`CommodityTable` (returns a :class:`FluidTableResult`); the
-    fixed point then iterates entirely in arrays and produces
-    bit-identical rates to the object path.
+    ``flows`` is a :class:`FlowTable` / :class:`CommodityTable`, or a
+    ``FluidFlow`` list (converted by :meth:`FlowTable.from_flows`).
 
     Returns the final result; its ``offered_bps`` are the converged TCP
     offers, so ``loss_rate`` reports the unserved share of what TCP
     actually attempted, not of the application demand.
     """
-    if isinstance(flows, (FlowTable, CommodityTable)):
-        if isinstance(flows, FlowTable):
-            flows = flows.to_commodities()
-        if flows.n_flows == 0:
-            return solve_fluid(
-                specs, flows, packet_bytes=packet_bytes, solver=solver
-            )
-        if not 0 < loss_floor < 1:
-            raise ValueError("loss floor must be in (0, 1)")
-        if not 0 < damping <= 1:
-            raise ValueError("damping must be in (0, 1]")
-        return _solve_fluid_tcp_table(
-            specs,
-            flows,
-            loss_floor,
-            iterations,
-            damping,
-            tolerance,
-            mss_bytes,
-            packet_bytes,
-            solver,
-        )
-    if not flows:
-        return solve_fluid(specs, flows, packet_bytes=packet_bytes, solver=solver)
+    if not isinstance(flows, (FlowTable, CommodityTable)):
+        flows = FlowTable.from_flows(flows)
+    if isinstance(flows, FlowTable):
+        flows = flows.to_commodities()
+    if flows.n_flows == 0:
+        return solve_fluid(specs, flows, packet_bytes=packet_bytes)
     if not 0 < loss_floor < 1:
         raise ValueError("loss floor must be in (0, 1)")
     if not 0 < damping <= 1:
         raise ValueError("damping must be in (0, 1]")
-
-    # One solve at the application demands fixes the (static) RTTs.
-    base = solve_fluid(specs, flows, packet_bytes=packet_bytes, solver=solver)
-    rtt = {fid: 2.0 * lat for fid, lat in base.latencies_s.items()}
-
-    demand = {f.flow_id: f.offered_bps for f in flows}
-    paths = {f.flow_id: f.path for f in flows}
-    p = {fid: loss_floor for fid in demand}
-    result = base
-    for _ in range(iterations):
-        tcp_flows = [
-            FluidFlow(
-                flow_id=fid,
-                path=paths[fid],
-                offered_bps=min(
-                    demand[fid], mathis_rate_bps(rtt[fid], p[fid], mss_bytes)
-                ),
-            )
-            for fid in demand
-        ]
-        result = solve_fluid(
-            specs, tcp_flows, packet_bytes=packet_bytes, solver=solver
-        )
-        worst_move = 0.0
-        for fid, offered in result.offered_bps.items():
-            rate = result.rates_bps[fid]
-            dropped = 1.0 - rate / offered if offered > 0 else 0.0
-            target = max(loss_floor, dropped)
-            move = damping * (target - p[fid])
-            p[fid] += move
-            worst_move = max(worst_move, abs(move))
-        if worst_move < tolerance:
-            break
-    return result
+    return _solve_fluid_tcp_table(
+        specs,
+        flows,
+        loss_floor,
+        iterations,
+        damping,
+        tolerance,
+        mss_bytes,
+        packet_bytes,
+    )

@@ -293,8 +293,8 @@ def user_demand_pairs(
 
     Returns ``(pairs, demands_gbps, aggregate_gbps)`` where ``pairs`` /
     ``demands_gbps`` are the positive site pairs and their absolute
-    offered demands (``shares * aggregate``) — the direct input for an
-    array-native (``workload="table"``) fluid evaluation.
+    offered demands (``shares * aggregate``) — the direct input for a
+    flow-table fluid evaluation.
     """
     matrix, aggregate_gbps = user_demand_matrix(
         sites,

@@ -1,11 +1,14 @@
-"""PR-9 array-native flow tables: struct-of-arrays validation, the
-table fast path's bit-identity with the ``FluidFlow``-object reference
-(both solvers, UDP and TCP), and the hoisted load-curve invariants."""
+"""Array-native flow tables: struct-of-arrays validation, the
+``FluidFlow``-list adapter's bit-identity with direct tables, parity with
+the scalar oracle (UDP and TCP), and the load-curve front-end pinned to
+its recorded values."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from fluid_oracle import flows_from_table, mathis_fixed_point, max_min_rates
 
 from repro.exp.spec import WORKLOADS, NetsimSpec
 from repro.netsim import (
@@ -14,15 +17,14 @@ from repro.netsim import (
     FlowTable,
     FluidFlow,
     PathPool,
-    flows_from_table,
+    aggregate_capacities,
     max_min_rates_table,
-    max_min_rates_vectorized,
     run_load_curve,
     run_udp_experiment,
     solve_fluid,
     solve_fluid_tcp,
 )
-from repro.netsim.experiments import kept_flow_shares, kept_flow_table
+from repro.netsim.experiments import kept_flow_table
 from repro.netsim.fluid import _CommodityProblem
 from repro.traffic import demand_pairs, user_demand_matrix, user_demand_pairs
 
@@ -40,9 +42,9 @@ def ring_capacities(n_nodes, rng):
 def random_table_workload(seed, n_nodes=10, n_paths=18, n_flows=70):
     """A random ring workload as (capacities, FlowTable, FluidFlow list).
 
-    The object list is derived from the table via ``flows_from_table``,
-    so the two forms describe the same workload by construction and
-    every comparison isolates the *solver path*, not the generator.
+    The list is derived from the table via ``flows_from_table``, so the
+    two forms describe the same workload by construction and every
+    comparison isolates the front-end or the solver, not the generator.
     """
     rng = np.random.default_rng(seed)
     nodes, capacities = ring_capacities(n_nodes, rng)
@@ -86,6 +88,14 @@ def symmetric_ring(seed, n_nodes=10):
         capacities[(u, v)] = cap
         capacities[(v, u)] = cap
     return nodes, capacities
+
+
+def assert_rates_match_oracle(capacities, flows, rates):
+    """Per-flow rates within 1e-6 relative of the scalar oracle."""
+    expected = max_min_rates(capacities, flows)
+    assert set(rates) == set(expected)
+    for fid, rate in expected.items():
+        assert rates[fid] == pytest.approx(rate, rel=1e-6, abs=1e-9)
 
 
 class TestPathPool:
@@ -165,6 +175,31 @@ class TestFlowTableValidation:
         with pytest.raises(ValueError, match="equal length"):
             FlowTable(pool, np.array([0]), np.array([1.0, 2.0]), np.array([0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_demand_rejected(self, bad):
+        pool = self.make_pool()
+        with pytest.raises(ValueError, match="flow 9 offered rate must be finite"):
+            FlowTable(pool, np.array([0, 0]), np.array([1.0, bad]), np.array([4, 9]))
+        with pytest.raises(ValueError, match="flow 9 offered rate must be finite"):
+            CommodityTable(
+                pool, np.array([0]), np.array([0, 0]), np.array([1.0, bad]),
+                np.array([4, 9]),
+            )
+        with pytest.raises(ValueError, match="flow 3 offered rate must be finite"):
+            FluidFlow(3, ("a", "b"), bad)
+
+    def test_nan_flow_cannot_reach_the_solver(self):
+        # A NaN demand used to pass validation and come back as a NaN
+        # rate with an empty utilization map and a 0.0 loss rate.
+        specs = [EdgeSpec("a", "b", 10.0, 0.001)]
+        pool = PathPool.from_paths([("a", "b")])
+        with pytest.raises(ValueError, match="flow 0 offered rate must be finite"):
+            solve_fluid(
+                specs,
+                FlowTable(pool, np.array([0, 0]), np.array([math.nan, 4.0]),
+                          np.array([0, 1])),
+            )
+
 
 class TestToCommodities:
     def test_first_seen_order_and_collapse(self):
@@ -182,7 +217,7 @@ class TestToCommodities:
 
     def test_value_dedupe_matches_object_semantics(self):
         # Two pool rows with identical node sequences collapse into ONE
-        # commodity, exactly like _CommodityProblem's path-value keying.
+        # commodity: commodities are keyed by path value, not pool row.
         pool = PathPool.from_paths([("a", "b", "c"), ("a", "b", "c"), ("a", "b")])
         table = FlowTable(
             pool,
@@ -195,16 +230,29 @@ class TestToCommodities:
         assert ct.flow_commodity.tolist() == [0, 0, 1]
 
     def test_problem_matches_object_problem_exactly(self):
+        """The array build equals a per-flow walk of the path names:
+        one incidence row per distinct path in first-seen order, link
+        columns in traversal order — from a table and from a list."""
         capacities, table, flows = random_table_workload(3)
-        obj = _CommodityProblem(capacities, flows)
-        tab = _CommodityProblem.from_table(capacities, table.to_commodities())
-        assert obj.n_commodities == tab.n_commodities
-        assert (obj.incidence != tab.incidence).nnz == 0
-        assert obj.incidence.indices.tolist() == tab.incidence.indices.tolist()
-        assert obj.incidence.indptr.tolist() == tab.incidence.indptr.tolist()
-        assert obj.demands.tolist() == tab.demands.tolist()
-        assert obj.flow_commodity.tolist() == tab.flow_commodity.tolist()
-        assert obj.flow_ids.tolist() == tab.flow_ids.tolist()
+        link_index = {key: i for i, key in enumerate(capacities)}
+        commodity_of: dict = {}
+        indices, indptr = [], [0]
+        for flow in flows:
+            if flow.path not in commodity_of:
+                commodity_of[flow.path] = len(commodity_of)
+                indices += [link_index[e] for e in zip(flow.path[:-1], flow.path[1:])]
+                indptr.append(len(indices))
+        for source in (table, FlowTable.from_flows(flows)):
+            tab = _CommodityProblem.from_table(capacities, source.to_commodities())
+            assert tab.n_commodities == len(commodity_of)
+            assert tab.incidence.indices.tolist() == indices
+            assert tab.incidence.indptr.tolist() == indptr
+            assert tab.incidence.data.tolist() == [1.0] * len(indices)
+            assert tab.demands.tolist() == [f.offered_bps for f in flows]
+            assert tab.flow_commodity.tolist() == [
+                commodity_of[f.path] for f in flows
+            ]
+            assert tab.flow_ids.tolist() == [f.flow_id for f in flows]
 
     def test_unknown_link_message_matches_object_path(self):
         pool = PathPool.from_paths([("a", "b"), ("a", "z", "b")])
@@ -215,73 +263,100 @@ class TestToCommodities:
             flow_ids=np.array([10, 11]),
         ).to_commodities()
         capacities = {("a", "b"): 1.0, ("b", "a"): 1.0}
+        flows = [
+            FluidFlow(10, ("a", "b"), 1.0),
+            FluidFlow(11, ("a", "z", "b"), 1.0),
+        ]
         with pytest.raises(KeyError) as table_err:
             _CommodityProblem.from_table(capacities, table)
-        with pytest.raises(KeyError) as object_err:
-            _CommodityProblem(
-                capacities,
-                [
-                    FluidFlow(10, ("a", "b"), 1.0),
-                    FluidFlow(11, ("a", "z", "b"), 1.0),
-                ],
-            )
-        assert str(table_err.value) == str(object_err.value)
+        with pytest.raises(KeyError) as list_err:
+            max_min_rates_table(capacities, FlowTable.from_flows(flows))
+        with pytest.raises(KeyError) as oracle_err:
+            max_min_rates(capacities, flows)
+        assert str(table_err.value) == str(oracle_err.value)
+        assert str(list_err.value) == str(oracle_err.value)
         assert "flow 11" in str(table_err.value)
 
 
 class TestBitIdenticalRates:
     @pytest.mark.parametrize("seed", range(10))
     def test_vectorized_rates_bit_identical(self, seed):
+        """A ``FluidFlow`` list through ``FlowTable.from_flows`` (its own
+        pool layout) gets exactly the rates of the direct table."""
         capacities, table, flows = random_table_workload(seed)
-        expected = max_min_rates_vectorized(capacities, flows)
+        listed = FlowTable.from_flows(flows)
+        expected = dict(
+            zip(listed.flow_ids.tolist(),
+                max_min_rates_table(capacities, listed).tolist())
+        )
         rates = max_min_rates_table(capacities, table)
         got = dict(zip(table.flow_ids.tolist(), rates.tolist()))
         assert got == expected  # exact float equality, not approx
+        assert_rates_match_oracle(capacities, flows, got)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("solver", ["vectorized", "scalar"])
     def test_solve_fluid_bit_identical(self, seed, solver):
+        """``vectorized``: the list form of the workload gives a result
+        equal to the table form in every field.  ``scalar``: the table
+        result's rates and link loads agree with the scalar oracle."""
         capacities, table, flows = random_table_workload(100 + seed)
-        specs = specs_from_capacities(
-            {k: v for k, v in capacities.items()}
+        specs = specs_from_capacities(capacities)
+        tab = solve_fluid(specs, table)
+        if solver == "vectorized":
+            ref = solve_fluid(specs, flows)
+            assert tab.flow_ids.tolist() == ref.flow_ids.tolist()
+            assert tab.rates_bps.tolist() == ref.rates_bps.tolist()
+            assert tab.offered_bps.tolist() == ref.offered_bps.tolist()
+            assert tab.latencies_s.tolist() == ref.latencies_s.tolist()
+            assert tab.link_utilization == ref.link_utilization
+            assert tab.loss_rate == ref.loss_rate
+            assert tab.mean_latency_s() == ref.mean_latency_s()
+            assert tab.max_link_utilization == ref.max_link_utilization
+            return
+        directed, _delays = aggregate_capacities(specs)
+        rates = max_min_rates(directed, flows)
+        assert_rates_match_oracle(directed, flows, tab.rates_by_flow())
+        loads: dict = {}
+        for flow in flows:
+            for edge in zip(flow.path[:-1], flow.path[1:]):
+                loads[edge] = loads.get(edge, 0.0) + rates[flow.flow_id]
+        assert set(tab.link_utilization) == {e for e, x in loads.items() if x > 0}
+        for edge, util in tab.link_utilization.items():
+            assert util == pytest.approx(loads[edge] / directed[edge], rel=1e-6)
+        offered = sum(f.offered_bps for f in flows)
+        assert tab.loss_rate == pytest.approx(
+            max(0.0, 1.0 - sum(rates.values()) / offered), abs=1e-9
         )
-        obj = solve_fluid(specs, flows, solver=solver)
-        tab = solve_fluid(specs, table, solver=solver)
-        assert tab.rates_by_flow() == obj.rates_bps
-        assert dict(
-            zip(tab.flow_ids.tolist(), tab.offered_bps.tolist())
-        ) == obj.offered_bps
-        assert dict(
-            zip(tab.flow_ids.tolist(), tab.latencies_s.tolist())
-        ) == obj.latencies_s
-        assert tab.link_utilization == obj.link_utilization
-        assert tab.loss_rate == obj.loss_rate
-        assert tab.mean_latency_s() == obj.mean_latency_s()
-        assert tab.max_link_utilization == obj.max_link_utilization
 
     @pytest.mark.parametrize("seed", range(4))
     def test_solve_fluid_tcp_bit_identical(self, seed):
         # Symmetric capacities: spec expansion must reproduce the map.
         _nodes, capacities = symmetric_ring(seed)
-        rng = np.random.default_rng(1000 + seed)
         _cap2, table, flows = random_table_workload(seed)
-        del _cap2, rng
         specs = specs_from_capacities(capacities)
-        obj = solve_fluid_tcp(specs, flows)
+        listed = solve_fluid_tcp(specs, flows)
         tab = solve_fluid_tcp(specs, table)
-        assert tab.rates_by_flow() == obj.rates_bps
-        assert dict(
-            zip(tab.flow_ids.tolist(), tab.offered_bps.tolist())
-        ) == obj.offered_bps
-        assert tab.link_utilization == obj.link_utilization
-        assert tab.loss_rate == obj.loss_rate
+        assert tab.rates_bps.tolist() == listed.rates_bps.tolist()
+        assert tab.offered_bps.tolist() == listed.offered_bps.tolist()
+        assert tab.link_utilization == listed.link_utilization
+        assert tab.loss_rate == listed.loss_rate
+        # The per-flow Mathis loop over the scalar oracle lands on the
+        # same fixed point.
+        rates, offers = mathis_fixed_point(specs, flows)
+        got_rates = tab.rates_by_flow()
+        got_offers = dict(zip(tab.flow_ids.tolist(), tab.offered_bps.tolist()))
+        for fid in rates:
+            assert got_rates[fid] == pytest.approx(rates[fid], rel=1e-6)
+            assert got_offers[fid] == pytest.approx(offers[fid], rel=1e-6)
 
     def test_duplicate_pairs_shared_vs_unshared_paths(self):
         """Adversarial: many flows on the same (src, dst) pair.
 
         Shared path rows, duplicated-value path rows, and a distinct
-        route for the same pair must all match the object reference
-        exactly — value-duplicates collapse, distinct routes don't.
+        route for the same pair must all match the list form exactly
+        and the oracle to 1e-6 — value-duplicates collapse, distinct
+        routes don't.
         """
         nodes, capacities = symmetric_ring(42, n_nodes=6)
         specs = specs_from_capacities(capacities)
@@ -298,10 +373,11 @@ class TestBitIdenticalRates:
         ct = table.to_commodities()
         assert ct.n_commodities == 2  # rows 0 and 1 collapse by value
         flows = flows_from_table(table)
-        obj = solve_fluid(specs, flows)
+        listed = solve_fluid(specs, flows)
         tab = solve_fluid(specs, table)
-        assert tab.rates_by_flow() == obj.rates_bps
-        assert tab.link_utilization == obj.link_utilization
+        assert tab.rates_by_flow() == listed.rates_by_flow()
+        assert tab.link_utilization == listed.link_utilization
+        assert_rates_match_oracle(capacities, flows, tab.rates_by_flow())
 
     def test_empty_table_solves(self):
         pool = PathPool.from_paths([("a", "b")])
@@ -342,15 +418,24 @@ class TestKeptFlowTable:
         return routes, traffic
 
     def test_matches_kept_flow_shares(self):
+        """Equal, bit for bit, to the per-pair scalar filter."""
         routes, traffic = self.make_routes()
         names = {"0", "1", "2"}  # node 3 outside the simulated set
-        kept, mass = kept_flow_shares(routes, traffic, names, 0.25)
+        total_h = np.triu(traffic, k=1).sum()
+        kept, mass = [], 0.0
+        for (s, t), path in routes.items():
+            h = traffic[s, t] / total_h
+            node_path = tuple(str(v) for v in path)
+            if h < 0.25 or any(n not in names for n in node_path):
+                continue
+            kept.append((node_path, h))
+            mass += h
         pool, path_ids, shares, table_mass = kept_flow_table(
             routes, traffic, names, 0.25
         )
         assert table_mass == mass  # bit-identical accumulation
-        assert len(path_ids) == len(kept)
-        for i, ((_pair, node_path, h)) in enumerate(kept):
+        assert len(path_ids) == len(kept) == 2
+        for i, (node_path, h) in enumerate(kept):
             assert pool.path_names(int(path_ids[i])) == node_path
             assert shares[i] == h
 
@@ -374,38 +459,27 @@ class TestExperimentIntegration:
         ).topology
         return topo
 
+    # Pinned (mean_delay_ms, loss_rate, max_link_utilization) records.
+    # The per-flow object front-end and the flow-table front-end both
+    # produced exactly these values before the object one was retired.
+    PINNED_UDP_TCP = (29.018650412181426, 0.0, 0.8232322246066641)
+    PINNED_USERS = (26.90133073058335, 0.8148689762140203, 1.0000000000000004)
+
     @pytest.mark.parametrize("transport", ["udp", "tcp"])
     def test_table_workload_bit_identical_records(self, designed, transport):
-        kwargs = dict(engine="fluid", transport=transport)
-        obj = run_udp_experiment(designed, 50.0, 0.9, **kwargs)
-        tab = run_udp_experiment(
-            designed, 50.0, 0.9, workload="table", **kwargs
+        res = run_udp_experiment(
+            designed, 50.0, 0.9, engine="fluid", transport=transport
         )
-        assert tab.mean_delay_ms == obj.mean_delay_ms
-        assert tab.loss_rate == obj.loss_rate
-        assert tab.max_link_utilization == obj.max_link_utilization
+        got = (res.mean_delay_ms, res.loss_rate, res.max_link_utilization)
+        assert got == self.PINNED_UDP_TCP
 
     def test_table_workload_users_model(self, designed):
-        obj = run_udp_experiment(
+        res = run_udp_experiment(
             designed, 50.0, 0.8, engine="fluid", demand_model="users",
             users_millions=2.0,
         )
-        tab = run_udp_experiment(
-            designed, 50.0, 0.8, engine="fluid", demand_model="users",
-            users_millions=2.0, workload="table",
-        )
-        assert tab.loss_rate == obj.loss_rate
-        assert tab.max_link_utilization == obj.max_link_utilization
-
-    def test_table_requires_fluid_engine(self, designed):
-        with pytest.raises(ValueError, match="fluid"):
-            run_udp_experiment(designed, 50.0, 0.5, workload="table")
-
-    def test_unknown_workload_rejected(self, designed):
-        with pytest.raises(ValueError, match="workload"):
-            run_udp_experiment(
-                designed, 50.0, 0.5, engine="fluid", workload="soa"
-            )
+        got = (res.mean_delay_ms, res.loss_rate, res.max_link_utilization)
+        assert got == self.PINNED_USERS
 
     def test_load_curve_hoisting_keeps_records_unchanged(self, designed):
         """The hoisted invariants must not change a single record value
@@ -420,26 +494,30 @@ class TestExperimentIntegration:
             assert row["max_link_utilization"] == res.max_link_utilization
 
     def test_load_curve_workloads_bit_identical(self, designed):
-        loads = (0.5, 1.0)
-        obj = run_load_curve(designed, 50.0, loads, engine="fluid")
-        tab = run_load_curve(
-            designed, 50.0, loads, engine="fluid", workload="table"
-        )
-        assert obj == tab  # same keys, same values, bit for bit
+        rows = run_load_curve(designed, 50.0, (0.5, 1.0), engine="fluid")
+        common = {
+            "stage": "netsim",
+            "engine": "fluid",
+            "transport": "udp",
+            "demand_model": "design",
+            "mean_delay_ms": 29.018650412181476,
+            "loss_rate": 0.0,
+        }
+        assert rows == [  # same keys, same values, bit for bit
+            {**common, "load": 0.5, "max_link_utilization": 0.4573512358925912},
+            {**common, "load": 1.0, "max_link_utilization": 0.9147024717851824},
+        ]
 
     def test_profile_rows_carry_timings(self, designed):
         rows = run_load_curve(
-            designed, 50.0, (0.5,), engine="fluid", workload="table",
-            profile=True,
+            designed, 50.0, (0.5,), engine="fluid", profile=True,
         )
         assert {"setup_s", "fill_s", "freeze_s"} <= set(rows[0])
         default_rows = run_load_curve(designed, 50.0, (0.5,), engine="fluid")
         assert "setup_s" not in default_rows[0]
 
     def test_fluid_result_timings_surface(self, designed):
-        res = run_udp_experiment(
-            designed, 50.0, 0.5, engine="fluid", workload="table"
-        )
+        res = run_udp_experiment(designed, 50.0, 0.5, engine="fluid")
         assert set(res.timings_s) == {"setup_s", "fill_s", "freeze_s"}
         assert all(v >= 0.0 for v in res.timings_s.values())
 
@@ -500,8 +578,8 @@ class TestDemandPairs:
 
 class TestValidationDedup:
     def test_shared_path_objects_validate_once(self):
-        # The object path must stay usable with many flows sharing one
-        # path tuple; this exercises the identity-dedup branch.
+        # A FluidFlow list with many flows sharing one path tuple
+        # becomes a single pool row (and one commodity).
         path = ("a", "b", "c")
         flows = [FluidFlow(i, path, 1.0 + i) for i in range(200)]
         specs = [
@@ -510,15 +588,15 @@ class TestValidationDedup:
             EdgeSpec(a="b", b="c", rate_bps=50.0, delay_s=1e-3,
                      queue_capacity=10),
         ]
+        assert FlowTable.from_flows(flows).pool.n_paths == 1
         res = solve_fluid(specs, flows)
         assert len(res.rates_bps) == 200
 
     def test_unknown_link_still_detected(self):
-        from repro.netsim import max_min_rates
-
         path = ("a", "x")
+        specs = [EdgeSpec(a="a", b="b", rate_bps=1.0, delay_s=1e-3)]
         with pytest.raises(KeyError, match="unknown link"):
-            max_min_rates({("a", "b"): 1.0}, [FluidFlow(0, path, 1.0)])
+            solve_fluid(specs, [FluidFlow(0, path, 1.0)])
 
     def test_table_is_frozen(self):
         _cap, table, _flows = random_table_workload(0)

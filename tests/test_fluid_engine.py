@@ -1,9 +1,10 @@
-"""PR-6 fluid-engine suite: allocation-bug regressions, vectorized
-commodity-aggregate solver parity/properties, the Mathis TCP macro-
-model, and the million-user demand layer."""
+"""Fluid-engine suite: allocation-bug regressions, properties of the
+vectorized commodity-aggregate solver and its parity with the scalar
+oracle, the Mathis TCP macro-model, and the million-user demand layer."""
 
 import numpy as np
 import pytest
+from fluid_oracle import max_min_rates
 
 from repro.datasets.sites import Site
 from repro.exp.spec import (
@@ -16,11 +17,11 @@ from repro.exp.spec import (
 from repro.exp.stages import STAGES, _netsim_payload
 from repro.netsim import (
     EdgeSpec,
+    FlowTable,
     FluidFlow,
     aggregate_capacities,
     mathis_rate_bps,
-    max_min_rates,
-    max_min_rates_vectorized,
+    max_min_rates_table,
     solve_fluid,
     solve_fluid_tcp,
 )
@@ -73,6 +74,21 @@ def random_workload(rng, n_nodes=12, n_links=40, n_flows=60):
     return capacities, flows
 
 
+def vectorized_rates(capacities, flows):
+    """The engine's allocation as a per-flow dict (for the oracle's shape)."""
+    table = FlowTable.from_flows(flows)
+    rates = max_min_rates_table(capacities, table)
+    return dict(zip(table.flow_ids.tolist(), rates.tolist()))
+
+
+#: The two allocations every property must hold for; the ids keep the
+#: historical test names.
+SOLVERS = [
+    pytest.param(max_min_rates, id="max_min_rates"),
+    pytest.param(vectorized_rates, id="max_min_rates_vectorized"),
+]
+
+
 def link_loads(capacities, flows, rates):
     loads = {link: 0.0 for link in capacities}
     for flow in flows:
@@ -82,9 +98,9 @@ def link_loads(capacities, flows, rates):
 
 
 class TestMaxMinProperties:
-    """Property tests over random workloads, both solvers."""
+    """Property tests over random workloads: the engine and the oracle."""
 
-    @pytest.mark.parametrize("solver", [max_min_rates, max_min_rates_vectorized])
+    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("seed", range(8))
     def test_capacity_never_exceeded(self, solver, seed):
         rng = np.random.default_rng(seed)
@@ -94,7 +110,7 @@ class TestMaxMinProperties:
         for link, load in loads.items():
             assert load <= capacities[link] * (1 + 1e-9) + 1e-9
 
-    @pytest.mark.parametrize("solver", [max_min_rates, max_min_rates_vectorized])
+    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("seed", range(8))
     def test_max_min_certificate(self, solver, seed):
         """Every flow below its demand has a saturated bottleneck link on
@@ -130,14 +146,14 @@ class TestMaxMinProperties:
         rng = np.random.default_rng(200 + seed)
         capacities, flows = random_workload(rng)
         scalar = max_min_rates(capacities, flows)
-        vector = max_min_rates_vectorized(capacities, flows)
+        vector = vectorized_rates(capacities, flows)
         assert set(scalar) == set(vector)
         for fid, rate in scalar.items():
             assert vector[fid] == pytest.approx(rate, rel=1e-6, abs=1e-9)
 
     def test_commodity_collapse_keeps_per_flow_demands(self):
         """Flows sharing one path but with different demands must freeze
-        individually, exactly as the scalar per-flow solver does."""
+        individually, exactly as the scalar per-flow oracle does."""
         capacities = {("A", "B"): 10.0}
         flows = [
             FluidFlow(1, ("A", "B"), 1.0),
@@ -145,17 +161,20 @@ class TestMaxMinProperties:
             FluidFlow(3, ("A", "B"), 100.0),
         ]
         scalar = max_min_rates(capacities, flows)
-        vector = max_min_rates_vectorized(capacities, flows)
+        vector = vectorized_rates(capacities, flows)
         assert scalar == pytest.approx({1: 1.0, 2: 3.0, 3: 6.0})
         for fid in scalar:
             assert vector[fid] == pytest.approx(scalar[fid], rel=1e-9)
 
     def test_empty_workload(self):
-        assert max_min_rates_vectorized({("A", "B"): 1.0}, []) == {}
+        assert vectorized_rates({("A", "B"): 1.0}, []) == {}
+        empty = solve_fluid([EdgeSpec("A", "B", 1.0, 0.001)], [])
+        assert empty.n_flows == 0
+        assert empty.loss_rate == 0.0
 
     def test_vectorized_unknown_link_raises(self):
-        with pytest.raises(KeyError):
-            max_min_rates_vectorized(
+        with pytest.raises(KeyError, match="flow 1 uses unknown link A->X"):
+            vectorized_rates(
                 {("A", "B"): 1.0}, [FluidFlow(1, ("A", "X"), 1.0)]
             )
 
@@ -174,7 +193,7 @@ class TestAllocationBugRegressions:
         assert delays[("A", "B")] == pytest.approx(0.001)
         result = solve_fluid(specs, [FluidFlow(1, ("A", "B"), 10e6)])
         # The regression: with overwrite semantics this is 3e6.
-        assert result.rates_bps[1] == pytest.approx(4e6)
+        assert result.rates_by_flow()[1] == pytest.approx(4e6)
 
     def test_repeated_edge_path_rejected(self):
         with pytest.raises(ValueError, match="edge-simple"):
@@ -184,10 +203,9 @@ class TestAllocationBugRegressions:
         # A -> B -> A is two *different* directed links; only repeating
         # the same directed link is ill-defined.
         flow = FluidFlow(1, ("A", "B", "A"), 1.0)
-        rates = max_min_rates(
-            {("A", "B"): 4.0, ("B", "A"): 2.0}, [flow]
-        )
-        assert rates[1] == pytest.approx(1.0)
+        capacities = {("A", "B"): 4.0, ("B", "A"): 2.0}
+        for solver in (max_min_rates, vectorized_rates):
+            assert solver(capacities, [flow])[1] == pytest.approx(1.0)
 
     def test_epsilon_asymmetric_bottleneck_regression(self):
         """A demand step epsilon-above the link share must not over-fill
@@ -199,7 +217,7 @@ class TestAllocationBugRegressions:
             FluidFlow(1, ("A", "B"), demand),
             FluidFlow(2, ("A", "B"), demand),
         ]
-        for solver in (max_min_rates, max_min_rates_vectorized):
+        for solver in (max_min_rates, vectorized_rates):
             rates = solver(capacities, flows)
             total = rates[1] + rates[2]
             assert total <= 10.0 * (1 + 1e-9) + 1e-9
@@ -238,14 +256,14 @@ class TestTcpMacroModel:
         # rate at the ambient loss floor.
         specs = [EdgeSpec("A", "B", 1e12, 0.01)]
         result = solve_fluid_tcp(specs, [FluidFlow(1, ("A", "B"), 1e11)])
-        rtt = 2 * result.latencies_s[1]
+        rtt = 2 * float(result.latencies_s[0])
         expected = mathis_rate_bps(rtt, DEFAULT_LOSS_FLOOR)
-        assert result.rates_bps[1] == pytest.approx(expected, rel=1e-6)
+        assert result.rates_by_flow()[1] == pytest.approx(expected, rel=1e-6)
 
     def test_application_limited_flow_keeps_its_demand(self):
         specs = [EdgeSpec("A", "B", 1e9, 0.01)]
         result = solve_fluid_tcp(specs, [FluidFlow(1, ("A", "B"), 2e6)])
-        assert result.rates_bps[1] == pytest.approx(2e6, rel=1e-9)
+        assert result.rates_by_flow()[1] == pytest.approx(2e6, rel=1e-9)
 
     def test_congested_flows_fill_bottleneck_and_converge(self):
         specs = [EdgeSpec("A", "B", 10e6, 0.02)]
@@ -253,8 +271,9 @@ class TestTcpMacroModel:
         result = solve_fluid_tcp(specs, flows)
         assert result.max_link_utilization == pytest.approx(1.0, abs=1e-6)
         # Fair split of the bottleneck across identical flows.
+        rates = result.rates_by_flow()
         for fid in range(4):
-            assert result.rates_bps[fid] == pytest.approx(2.5e6, rel=1e-3)
+            assert rates[fid] == pytest.approx(2.5e6, rel=1e-3)
         # The converged offers sit near the carried rates (loss has
         # relaxed to its fixed point), far below the application demand.
         assert result.loss_rate < 0.5
@@ -355,7 +374,12 @@ class TestSpecAndStage:
         assert payload["users_millions"] == 2.0
         assert payload["demand_hour_utc"] == 20.0
         assert payload["demand_seed"] == 0
-        assert payload["workload"] == "object"
         assert payload["profile"] is False
-        # Cache keys must move with the new payload fields.
-        assert STAGES["netsim"].version == "3"
+        # The spec's workload key selects nothing, so it stays out of
+        # the cache key.
+        assert "workload" not in payload
+        assert _netsim_payload(
+            ExperimentSpec(netsim=NetsimSpec(engine="fluid", workload="table"))
+        ) == _netsim_payload(ExperimentSpec(netsim=NetsimSpec(engine="fluid")))
+        # Cache keys must move with the payload change.
+        assert STAGES["netsim"].version == "4"

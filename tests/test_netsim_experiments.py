@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import solve_heuristic
-from repro.netsim import build_edge_specs, run_udp_experiment
+from repro.core import route_link_demands, solve_heuristic
+from repro.netsim import (
+    build_edge_specs,
+    run_failure_reroute_experiment,
+    run_udp_experiment,
+)
 from repro.traffic import mixed_matrix, perturbed_population_matrix
 
 
@@ -111,3 +115,34 @@ class TestDeterminism:
         b = run_udp_experiment(topo, 50.0, 0.6, duration_s=0.5, seed=4)
         # Same load, same topology — only the arrival randomness moves.
         assert (a.mean_delay_ms, a.loss_rate) != (b.mean_delay_ms, b.loss_rate)
+
+
+class TestPinnedPacketFrontEnd:
+    """The packet engine's flow set, ids and seeds, pinned exactly.
+
+    Both experiments build their UDP flows from the kept-flow rows of
+    the route pool; any change to which flows start, their order, their
+    rates or their arrival seeds moves these values.
+    """
+
+    def test_udp_experiment_pinned(self, designed_20):
+        _, topo = designed_20
+        r = run_udp_experiment(topo, 50.0, 0.5, duration_s=0.5, engine="packet")
+        assert (r.mean_delay_ms, r.loss_rate, r.max_link_utilization) == (
+            30.006763689501884,
+            0.0,
+            0.48,
+        )
+
+    def test_failure_reroute_pinned(self, designed_20):
+        _, topo = designed_20
+        demands = route_link_demands(topo, 50.0)
+        busiest = max(demands, key=demands.get)
+        assert busiest == (1, 6)
+        r = run_failure_reroute_experiment(topo, 50.0, busiest, seed=3)
+        assert (
+            r.loss_before,
+            r.loss_during_outage,
+            r.loss_after_reroute,
+            r.flows_rerouted,
+        ) == (0.0, 0.22837552742616032, 0.07085987261146497, 14)

@@ -15,7 +15,6 @@ from repro.netsim import (
     Simulator,
     TcpFlow,
     UdpFlow,
-    max_min_rates,
     run_udp_experiment,
     solve_fluid,
 )
@@ -219,22 +218,22 @@ class TestRoutingCache:
 
 class TestFluidEngine:
     def test_two_flows_share_bottleneck_equally(self):
-        capacities = {("A", "B"): 10.0, ("B", "C"): 10.0}
+        specs = [EdgeSpec("A", "B", 10.0, 0.001), EdgeSpec("B", "C", 10.0, 0.001)]
         flows = [
             FluidFlow(1, ("A", "B", "C"), 8.0),
             FluidFlow(2, ("A", "B", "C"), 8.0),
         ]
-        rates = max_min_rates(capacities, flows)
+        rates = solve_fluid(specs, flows).rates_by_flow()
         assert rates[1] == pytest.approx(5.0)
         assert rates[2] == pytest.approx(5.0)
 
     def test_demand_limited_flow_frees_share(self):
-        capacities = {("A", "B"): 10.0}
+        specs = [EdgeSpec("A", "B", 10.0, 0.001)]
         flows = [
             FluidFlow(1, ("A", "B"), 2.0),
             FluidFlow(2, ("A", "B"), 100.0),
         ]
-        rates = max_min_rates(capacities, flows)
+        rates = solve_fluid(specs, flows).rates_by_flow()
         assert rates[1] == pytest.approx(2.0)
         assert rates[2] == pytest.approx(8.0)
 
@@ -243,13 +242,15 @@ class TestFluidEngine:
         result = solve_fluid(
             specs, [FluidFlow(1, ("A", "B", "C"), 3e5)]
         )
-        assert result.rates_bps[1] == pytest.approx(3e5)
+        assert result.rates_by_flow()[1] == pytest.approx(3e5)
         assert result.loss_rate == 0.0
         assert result.max_link_utilization == pytest.approx(0.3)
 
     def test_unknown_link_raises(self):
-        with pytest.raises(KeyError):
-            max_min_rates({("A", "B"): 1.0}, [FluidFlow(1, ("A", "X"), 1.0)])
+        with pytest.raises(KeyError, match="unknown link A->X"):
+            solve_fluid(
+                [EdgeSpec("A", "B", 1.0, 0.001)], [FluidFlow(1, ("A", "X"), 1.0)]
+            )
 
     def test_packet_vs_fluid_parity_three_nodes(self):
         """Fluid mean throughput within 10% of the packet engine on a
