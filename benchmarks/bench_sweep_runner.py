@@ -6,7 +6,7 @@ and re-ran the evaluation, the way ``repro netsim`` did per invocation
 (the substrate was rebuilt per *process*, too — this baseline is
 generous and hands it the in-process scenario cache for free).
 
-The :class:`repro.exp.SweepRunner` path memoizes each stage in the
+The :class:`repro.exp.SweepService` path memoizes each stage in the
 content-addressed artifact store, so a warm rerun of the whole two-axis
 (budget x load) sweep reduces to store reads.  Gates:
 
@@ -33,7 +33,7 @@ from repro.exp import (
     ExperimentSpec,
     NetsimSpec,
     ScenarioSpec,
-    SweepRunner,
+    SweepService,
 )
 from repro.netsim import run_udp_experiment
 from repro.scenarios import us_scenario
@@ -130,17 +130,17 @@ def bench_sweep_runner(benchmark=None):
 
     spec = base_spec()
     t0 = time.perf_counter()
-    cold = SweepRunner(spec, AXES, store=store, jobs=1).run()
+    cold = SweepService(spec, AXES, store=store, jobs=1).run()
     t_cold = time.perf_counter() - t0
 
     # A *fresh* store instance models a new session over the same cache
     # directory: every artifact comes off disk (once — the per-process
     # memory layer dedups the nine points' shared substrate/designs).
     t0 = time.perf_counter()
-    warm = SweepRunner(spec, AXES, store=ArtifactStore(store_root), jobs=1).run()
+    warm = SweepService(spec, AXES, store=ArtifactStore(store_root), jobs=1).run()
     t_warm = time.perf_counter() - t0
 
-    warm_parallel = SweepRunner(
+    warm_parallel = SweepService(
         spec, AXES, store=ArtifactStore(store_root), jobs=4
     ).run()
 
@@ -204,7 +204,7 @@ def bench_sweep_runner(benchmark=None):
 
     if benchmark is not None:
         benchmark.pedantic(
-            lambda: SweepRunner(spec, AXES, store=store, jobs=1).run(),
+            lambda: SweepService(spec, AXES, store=store, jobs=1).run(),
             rounds=1,
             iterations=1,
         )

@@ -42,14 +42,14 @@ it; the default location is ``$REPRO_ARTIFACT_DIR`` or
 ``~/.cache/repro/artifacts``.
 
 Sweeps (``sweep`` and multi-axis ``run``) execute through the
-fault-tolerant :class:`~repro.exp.SweepService` whenever a journal
-location exists (an on-disk store or ``--journal-dir``): every point is
-checkpointed, failing points retry up to ``--retries`` then quarantine
-into ``failures.json`` (exit 1), and Ctrl-C checkpoints the journal and
-prints the exact ``--resume`` command (exit 130) instead of discarding
-completed work.  ``--fault-plan plan.json`` injects deterministic
-worker kills / failures / delays / artifact corruption for chaos
-testing.
+fault-tolerant :class:`~repro.exp.SweepService`: failing points retry
+up to ``--retries`` then quarantine (exit 1).  When a journal location
+exists (an on-disk store or ``--journal-dir``) every point is
+checkpointed, the quarantine report lands in ``failures.json``, and
+Ctrl-C checkpoints the journal and prints the exact ``--resume``
+command (exit 130) instead of discarding completed work.
+``--fault-plan plan.json`` injects deterministic worker kills /
+failures / delays / artifact corruption for chaos testing.
 """
 
 from __future__ import annotations
@@ -121,10 +121,11 @@ def _add_service_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_service(args: argparse.Namespace, spec, axes, store):
-    """A SweepService for the CLI flags, or None to use plain SweepRunner.
+    """The SweepService for the CLI flags.
 
-    The plain runner only remains for ``--no-cache`` sweeps without a
-    journal directory — there is nowhere durable to checkpoint them.
+    A ``--no-cache`` sweep without ``--journal-dir`` journals privately
+    (nothing durable to checkpoint), so it cannot resume or take a
+    fault plan.
     """
     from .exp import FaultPlan, NullStore, RetryPolicy, SweepService
 
@@ -134,8 +135,7 @@ def _build_service(args: argparse.Namespace, spec, axes, store):
             fault_plan = FaultPlan.from_json_file(args.fault_plan)
         except OSError as exc:
             raise SystemExit(f"cannot read fault plan: {exc}")
-    journal_free = isinstance(store, NullStore) and args.journal_dir is None
-    if journal_free:
+    if isinstance(store, NullStore) and args.journal_dir is None:
         if args.resume:
             raise SystemExit(
                 "--resume needs a journal: drop --no-cache or pass "
@@ -146,7 +146,6 @@ def _build_service(args: argparse.Namespace, spec, axes, store):
                 "--fault-plan needs a journaled sweep: drop --no-cache or "
                 "pass --journal-dir"
             )
-        return None
     if args.retries < 1:
         raise SystemExit("--retries must be >= 1")
     return SweepService(
@@ -160,6 +159,24 @@ def _build_service(args: argparse.Namespace, spec, axes, store):
         point_timeout_s=args.point_timeout,
         fault_plan=fault_plan,
     )
+
+
+def _run_service(args: argparse.Namespace, service):
+    """Run the sweep; returns ``(result, exit status)``.
+
+    With a durable journal, SIGINT checkpoints it instead of killing
+    the sweep; a privately journaled sweep has nothing to resume from,
+    so SIGINT interrupts it as usual.
+    """
+    if service.journal_dir is None:
+        result = service.run()
+    else:
+        restore_sigint = _checkpoint_on_sigint(service)
+        try:
+            result = service.run()
+        finally:
+            restore_sigint()
+    return result, _service_exit_status(args, service, result)
 
 
 def _checkpoint_on_sigint(service):
@@ -209,9 +226,14 @@ def _service_exit_status(args: argparse.Namespace, service, result) -> int:
         print(f"resume with: {_resume_command(args)}", file=sys.stderr)
         return 130
     if result.failures:
+        report = (
+            f" (report: {service.queue.failure_report_path})"
+            if result.journal_dir is not None
+            else ""
+        )
         print(
-            f"\n{len(result.failures)} point(s) quarantined after retries "
-            f"(report: {service.queue.failure_report_path}):",
+            f"\n{len(result.failures)} point(s) quarantined after "
+            f"retries{report}:",
             file=sys.stderr,
         )
         for failure in result.failures:
@@ -294,7 +316,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .exp import DesignSpec, ExperimentSpec, SweepRunner
+    from .exp import DesignSpec, ExperimentSpec
 
     n_points = max(args.points, 2)
     budgets = [float(b) for b in np.linspace(0.0, args.max_budget, n_points)]
@@ -305,17 +327,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     axes = {"design.budget_towers": budgets}
     store = _store_from_args(args)
     service = _build_service(args, spec, axes, store)
-    status = 0
-    if service is not None:
-        restore_sigint = _checkpoint_on_sigint(service)
-        try:
-            result = service.run()
-        finally:
-            restore_sigint()
-        status = _service_exit_status(args, service, result)
-    else:
-        runner = SweepRunner(spec, axes=axes, store=store, jobs=args.jobs)
-        result = runner.run()
+    result, status = _run_service(args, service)
     print("budget_towers  mean_stretch  links")
     for row in result.records:
         if row["stage"] != "design":
@@ -438,7 +450,7 @@ def _cmd_econ(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .exp import ExperimentSpec, SweepRunner, run_experiment
+    from .exp import ExperimentSpec, run_experiment
     from .viz import render_records_table
 
     try:
@@ -475,17 +487,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for path, values in axes.items()
         }
         service = _build_service(args, spec, axes, store)
-        if service is not None:
-            restore_sigint = _checkpoint_on_sigint(service)
-            try:
-                result = service.run()
-            finally:
-                restore_sigint()
-            status = _service_exit_status(args, service, result)
-        else:
-            runner = SweepRunner(spec, axes=axes, store=store, jobs=args.jobs)
-            result = runner.run()
-            status = 0
+        result, status = _run_service(args, service)
         records = result.records
         counts = result.stage_counts
     else:

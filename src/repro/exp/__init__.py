@@ -1,14 +1,14 @@
-"""Experiment orchestration: spec DAG, artifact cache, sweep runner.
+"""Experiment orchestration: spec DAG, artifact cache, sweep service.
 
 The composition layer behind every paper experiment: a declarative,
 seed-pinned :class:`ExperimentSpec` runs through the stage graph
 ``substrate → design → {netsim, weather, apps, econ}`` with each stage
-memoized in a content-addressed :class:`ArtifactStore`, and
-:class:`SweepRunner` fans a spec out over axes across worker processes
-into one tidy records table.  :class:`SweepService` adds fault
-tolerance on top: a durable :class:`WorkQueue` journal, bounded retry
-with quarantine, worker heartbeats + watchdog restarts, crash resume,
-and deterministic :class:`FaultPlan` injection for chaos testing.
+memoized in a content-addressed :class:`ArtifactStore`.
+:class:`SweepService` is the one sweep executor: it fans a spec out over
+axes, inline or across supervised worker processes, into one tidy
+records table, with a :class:`WorkQueue` journal, bounded retry with
+quarantine, worker heartbeats + watchdog restarts, crash resume, and
+deterministic :class:`FaultPlan` injection for chaos testing.
 """
 
 from .faults import (
@@ -19,21 +19,15 @@ from .faults import (
     corrupt_artifact,
 )
 from .queue import TaskRecord, WorkQueue
-from .runner import (
-    ExperimentRun,
-    SweepAxis,
-    SweepPointError,
-    SweepResult,
-    SweepRunner,
-    expand_points,
-    point_waves,
-    run_experiment,
-)
+from .runner import ExperimentRun, run_experiment
 from .service import (
     PointFailure,
     RetryPolicy,
-    ServiceResult,
+    SweepAxis,
+    SweepResult,
     SweepService,
+    expand_points,
+    point_waves,
     sweep_fingerprint,
 )
 from .spec import (
@@ -67,11 +61,8 @@ __all__ = [
     "RetryPolicy",
     "STAGES",
     "ScenarioSpec",
-    "ServiceResult",
     "SweepAxis",
-    "SweepPointError",
     "SweepResult",
-    "SweepRunner",
     "SweepService",
     "TaskRecord",
     "WeatherSpec",

@@ -423,6 +423,10 @@ class WorkQueue:
         return self.failure_report_path
 
     def close(self) -> None:
+        """Flush staged lines and release the journal file descriptor.
+
+        Queries keep working on a closed queue; transitions do not.
+        """
         if self._journal_fd is None:
             return
         try:

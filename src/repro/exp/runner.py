@@ -1,31 +1,24 @@
-"""Experiment execution: single runs and parallel sweeps.
+"""Experiment execution: one spec through the stage DAG.
 
 :func:`run_experiment` walks the stage DAG for one
 :class:`~repro.exp.spec.ExperimentSpec` in topological order, fetching
 each stage artifact from the :class:`~repro.exp.store.ArtifactStore`
 (status ``"cached"``) or computing and publishing it (``"computed"``).
-
-:class:`SweepRunner` expands a base spec over declared axes (the
-cartesian product), executes the points with ``concurrent.futures``
-process workers, and streams each finished point's rows into one tidy
-records table.  Determinism contract: every stage is a pure function of
-its seed-pinned spec slice, and rows are emitted in point order — so a
-``jobs=4`` run is byte-identical to ``jobs=1``, and a warm-cache rerun
-is byte-identical to the cold run while skipping every substrate/design
-execution.
+Every stage is a pure function of its seed-pinned spec slice, so a
+warm-cache rerun is byte-identical to the cold run.  Sweeps over many
+specs run through :class:`~repro.exp.service.SweepService`, which calls
+this function once per point.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Any
 
 from .spec import ExperimentSpec, canonical_json
 from .stages import BASE_STAGES, STAGES, stage_key
-from .store import CACHED, COMPUTED, ArtifactStore, NullStore
+from .store import CACHED, COMPUTED, ArtifactStore
 
 
 @dataclass
@@ -126,349 +119,3 @@ def run_experiment(
     return ExperimentRun(
         spec=spec, records=records, stage_status=status, artifacts=artifacts
     )
-
-
-# --------------------------------------------------------------------------
-# Sweeps.
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepAxis:
-    """One sweep dimension: a dotted spec path and its values.
-
-    ``path`` addresses a field of an enabled spec section, e.g.
-    ``"design.budget_towers"`` or ``"netsim.loads"``.
-    """
-
-    path: str
-    values: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise ValueError(f"axis {self.path!r} needs at least one value")
-
-
-@dataclass
-class SweepResult:
-    """A finished sweep: the tidy table plus execution accounting.
-
-    Attributes:
-        records: one row per (point, stage row), in point order; every
-            row carries ``point`` plus one column per axis path.
-        points: the per-point :class:`ExperimentRun` summaries
-            (records + stage status), in point order.
-        stage_counts: stage -> {"computed": n, "cached": n} aggregated
-            over all points.
-    """
-
-    axes: tuple[SweepAxis, ...]
-    records: list[dict]
-    points: list[ExperimentRun]
-    stage_counts: dict[str, dict[str, int]]
-
-    def records_json(self) -> str:
-        """Canonical JSON of the table (byte-comparable across runs)."""
-        return canonical_json(self.records)
-
-    def executed(self, stage: str) -> int:
-        """How many points actually *computed* this stage (vs cache hits)."""
-        return self.stage_counts.get(stage, {}).get(COMPUTED, 0)
-
-
-def _axis_list(
-    axes: Mapping[str, Sequence] | Sequence[SweepAxis],
-) -> tuple[SweepAxis, ...]:
-    if isinstance(axes, Mapping):
-        return tuple(SweepAxis(path, tuple(values)) for path, values in axes.items())
-    return tuple(
-        a if isinstance(a, SweepAxis) else SweepAxis(a[0], tuple(a[1])) for a in axes
-    )
-
-
-def expand_points(
-    base_spec: ExperimentSpec, axes: tuple[SweepAxis, ...]
-) -> list[tuple[dict, ExperimentSpec]]:
-    """(axis-assignment, spec) for every sweep point, in sweep order.
-
-    The cartesian product of the axis values, first axis outermost —
-    the single source of point indexing for :class:`SweepRunner` and
-    the resumable :class:`~repro.exp.service.SweepService` (a journal
-    written by one must mean the same points to the other).
-    """
-    combos = itertools.product(*(axis.values for axis in axes))
-    points = []
-    for combo in combos:
-        spec = base_spec
-        assignment: dict[str, Any] = {}
-        for axis, value in zip(axes, combo):
-            spec = spec.with_value(axis.path, value)
-            assignment[axis.path] = value
-        points.append((assignment, spec))
-    return points
-
-
-def point_waves(
-    points: list[tuple[dict, ExperimentSpec]],
-    store: ArtifactStore,
-    indices: Sequence[int] | None = None,
-) -> list[list[int]]:
-    """Schedule points so shared expensive stages compute once.
-
-    Cold points sharing a substrate or design key would otherwise
-    race: every worker misses the store at the same time and
-    redundantly rebuilds the same artifact.  Each wave runs one
-    representative point per distinct stage key (substrate first,
-    then design) so later waves find the shared artifacts published;
-    on a warm store the extra barriers cost microseconds.  With a
-    NullStore nothing is shareable, so there is one wave.
-
-    ``indices`` restricts scheduling to a subset of the points (the
-    resume path only schedules points without a journal entry).
-    """
-    order = list(range(len(points))) if indices is None else list(indices)
-    if isinstance(store, NullStore):
-        return [order] if order else []
-    remaining = order
-    waves: list[list[int]] = []
-    for stage_name in BASE_STAGES:
-        reps: list[int] = []
-        rest: list[int] = []
-        seen: set[str] = set()
-        for index in remaining:
-            key = stage_key(points[index][1], stage_name)
-            if key in seen:
-                rest.append(index)
-            else:
-                seen.add(key)
-                reps.append(index)
-        if rest:  # sharing exists at this level: barrier after reps
-            waves.append(reps)
-            remaining = rest
-    if remaining:
-        waves.append(remaining)
-    return waves
-
-
-class SweepPointError(RuntimeError):
-    """One sweep point failed; every completed point's rows survive.
-
-    Raised by :meth:`SweepRunner.run` instead of letting the raw worker
-    exception propagate (which would discard all finished points and
-    leave the failing point anonymous).
-
-    Attributes:
-        index: the sweep-order index of the failing point.
-        assignment: the failing point's axis assignment
-            (``{"design.budget_towers": 400.0, ...}``).
-        completed: sorted indices of the points that finished before
-            the failure surfaced.
-        partial_records: the finished points' table rows (``point`` +
-            axis columns + stage rows), exactly as the full
-            :class:`SweepResult` would have carried them.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        assignment: Mapping[str, Any],
-        cause: BaseException,
-        partial_records: list[dict],
-        completed: list[int],
-    ) -> None:
-        self.index = index
-        self.assignment = dict(assignment)
-        self.partial_records = partial_records
-        self.completed = completed
-        super().__init__(
-            f"sweep point {index} (assignment "
-            f"{canonical_json(_scalar_assignment(self.assignment))}) failed: "
-            f"{type(cause).__name__}: {cause} "
-            f"[{len(completed)} completed point(s) preserved on "
-            ".partial_records]"
-        )
-
-
-def _scalar_assignment(assignment: Mapping[str, Any]) -> dict:
-    """Axis values as JSON-clean scalars (tuples become lists)."""
-    return {
-        path: list(value) if isinstance(value, tuple) else value
-        for path, value in assignment.items()
-    }
-
-
-def _partial_table(
-    points: list[tuple[dict, ExperimentSpec]],
-    results: Mapping[int, tuple[list[dict], dict[str, str]]],
-) -> list[dict]:
-    rows: list[dict] = []
-    for index in sorted(results):
-        assignment = points[index][0]
-        records, _status = results[index]
-        for row in records:
-            rows.append({"point": index, **assignment, **row})
-    return rows
-
-
-#: One store per (worker process, root): keeps the store's per-process
-#: memory layer effective across the several points a worker executes.
-_WORKER_STORES: dict[str | None, ArtifactStore] = {}
-
-
-def _worker_store(store_root: str | None) -> ArtifactStore:
-    if store_root not in _WORKER_STORES:
-        _WORKER_STORES[store_root] = (
-            ArtifactStore(store_root) if store_root is not None else NullStore()
-        )
-    return _WORKER_STORES[store_root]
-
-
-def _sweep_point_worker(
-    spec_dict: dict, store_root: str | None, index: int
-) -> tuple[int, list[dict], dict[str, str]]:
-    """Process-pool entry: run one point against the shared disk store."""
-    spec = ExperimentSpec.from_dict(spec_dict)
-    run = run_experiment(spec, store=_worker_store(store_root))
-    return index, run.records, run.stage_status
-
-
-class SweepRunner:
-    """Expand a spec over axes and execute the points, possibly in parallel.
-
-    Args:
-        base_spec: the spec every point starts from.
-        axes: mapping of dotted path -> values (or ``SweepAxis`` list);
-            the sweep is the cartesian product, first axis outermost.
-        store: shared artifact cache (must be an on-disk store for
-            cross-process reuse; ``NullStore`` disables caching).
-        jobs: worker processes; 1 executes inline in this process.
-
-    Example::
-
-        runner = SweepRunner(
-            spec,
-            axes={"design.budget_towers": [500, 1000, 1500],
-                  "netsim.loads": [(0.3,), (0.9,)]},
-            jobs=4,
-        )
-        result = runner.run()
-    """
-
-    def __init__(
-        self,
-        base_spec: ExperimentSpec,
-        axes: Mapping[str, Sequence] | Sequence[SweepAxis],
-        store: ArtifactStore | None = None,
-        jobs: int = 1,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.base_spec = base_spec
-        self.axes = _axis_list(axes)
-        self.store = store if store is not None else ArtifactStore()
-        self.jobs = jobs
-        # Fail fast on bad paths / disabled sections before any work runs.
-        for axis in self.axes:
-            base_spec.with_value(axis.path, axis.values[0])
-
-    def point_specs(self) -> list[tuple[dict, ExperimentSpec]]:
-        """(axis-assignment, spec) for every sweep point, in sweep order."""
-        return expand_points(self.base_spec, self.axes)
-
-    def _point_waves(
-        self, points: list[tuple[dict, ExperimentSpec]]
-    ) -> list[list[int]]:
-        return point_waves(points, self.store)
-
-    def run(
-        self, on_point: Callable[[int, list[dict]], None] | None = None
-    ) -> SweepResult:
-        """Execute every point; rows stream via ``on_point`` as they finish.
-
-        ``on_point(index, rows)`` fires in completion order; the returned
-        table is always in point order regardless of ``jobs``.
-
-        A worker exception surfaces as :class:`SweepPointError`, which
-        names the failing point's index and axis assignment and carries
-        every completed point's rows — a thousand finished points are
-        never thrown away because the thousand-and-first died.  (For a
-        sweep that *survives* failures — retries, quarantine, crash
-        resume — use :class:`~repro.exp.service.SweepService`.)
-        """
-        points = self.point_specs()
-        results: dict[int, tuple[list[dict], dict[str, str]]] = {}
-        if self.jobs == 1 or len(points) <= 1:
-            for index, (assignment, spec) in enumerate(points):
-                try:
-                    run = run_experiment(spec, store=self.store)
-                except Exception as exc:
-                    raise SweepPointError(
-                        index,
-                        assignment,
-                        exc,
-                        _partial_table(points, results),
-                        sorted(results),
-                    ) from exc
-                results[index] = (run.records, run.stage_status)
-                if on_point is not None:
-                    on_point(index, run.records)
-        else:
-            store_root = (
-                None if isinstance(self.store, NullStore) else str(self.store.root)
-            )
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                for wave in self._point_waves(points):
-                    pending = {
-                        pool.submit(
-                            _sweep_point_worker,
-                            points[index][1].to_dict(),
-                            store_root,
-                            index,
-                        ): index
-                        for index in wave
-                    }
-                    not_done = set(pending)
-                    while not_done:
-                        done, not_done = wait(
-                            not_done, return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            failed_index = pending[future]
-                            try:
-                                index, records, stage_status = future.result()
-                            except Exception as exc:
-                                for other in not_done:
-                                    other.cancel()
-                                raise SweepPointError(
-                                    failed_index,
-                                    points[failed_index][0],
-                                    exc,
-                                    _partial_table(points, results),
-                                    sorted(results),
-                                ) from exc
-                            results[index] = (records, stage_status)
-                            if on_point is not None:
-                                on_point(index, records)
-
-        table: list[dict] = []
-        runs: list[ExperimentRun] = []
-        counts: dict[str, dict[str, int]] = {}
-        for index, (assignment, spec) in enumerate(points):
-            records, stage_status = results[index]
-            for stage_name, outcome in stage_status.items():
-                bucket = counts.setdefault(stage_name, {COMPUTED: 0, CACHED: 0})
-                bucket[outcome] = bucket.get(outcome, 0) + 1
-            for row in records:
-                table.append({"point": index, **assignment, **row})
-            runs.append(
-                ExperimentRun(
-                    spec=spec,
-                    records=records,
-                    stage_status=stage_status,
-                    artifacts={},
-                )
-            )
-        return SweepResult(
-            axes=self.axes, records=table, points=runs, stage_counts=counts
-        )

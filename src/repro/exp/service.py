@@ -1,9 +1,11 @@
-"""Fault-tolerant, resumable sweep execution.
+"""Sweep execution: the one executor behind every sweep.
 
-:class:`SweepService` turns a sweep into a checkpointed job: every
-point is a durable task in a :class:`~repro.exp.queue.WorkQueue`
-journal next to the artifact store, and a supervisor loop executes the
-points with
+:class:`SweepService` expands a base spec over declared axes (the
+cartesian product, first axis outermost), runs every point through
+:func:`~repro.exp.runner.run_experiment`, and assembles one tidy records
+table in point order.  Each point is a durable task in a
+:class:`~repro.exp.queue.WorkQueue` journal, and a supervisor loop
+executes the points with
 
 * **bounded retry** with exponential backoff + deterministic jitter
   (:class:`RetryPolicy`) — a point that keeps failing is quarantined
@@ -25,14 +27,23 @@ points with
   deterministically) and the resumed ``records_json()`` is
   byte-identical to an uninterrupted run.
 
+The journal lives next to the artifact store (or in ``journal_dir``).
+A :class:`~repro.exp.store.NullStore` sweep with no ``journal_dir`` has
+nowhere durable to checkpoint, so it journals into a private temporary
+directory that :meth:`SweepService.run` removes; such a sweep runs once
+and cannot resume.
+
 Determinism contract: retries, pool restarts, and resume change *when*
 a point executes, never *what* it computes — every stage is a pure
 function of its seed-pinned spec slice, and the table is assembled in
-point order.
+point order.  A ``jobs=4`` run is byte-identical to ``jobs=1``, and a
+warm-cache rerun is byte-identical to the cold run while skipping every
+substrate/design execution.
 
-``jobs=1`` executes points inline (no pool, no watchdog — matching
-``SweepRunner`` overhead); ``jobs>=2`` runs the supervised pool.  A
-seed-pinned :class:`~repro.exp.faults.FaultPlan` can be injected to
+``jobs=1`` executes points inline (no pool, no watchdog);
+``jobs>=2`` runs the supervised pool, scheduled in :func:`point_waves`
+so shared substrate/design stages compute once.  A seed-pinned
+:class:`~repro.exp.faults.FaultPlan` can be injected to
 deterministically kill workers, delay points, or corrupt artifacts —
 the chaos tests and ``bench_sweep_service.py`` are built on it.
 """
@@ -40,11 +51,14 @@ the chaos tests and ``bench_sweep_service.py`` are built on it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
 import random
+import shutil
 import signal
+import tempfile
 import threading
 import time
 import traceback
@@ -58,20 +72,114 @@ from typing import Any, Callable
 
 from .faults import FaultPlan
 from .queue import DONE, FAILED, RUNNING, WorkQueue
-from .runner import (
-    ExperimentRun,
-    SweepAxis,
-    SweepResult,
-    _axis_list,
-    _worker_store,
-    expand_points,
-    point_waves,
-    run_experiment,
-)
+from .runner import ExperimentRun, run_experiment
 from .spec import ExperimentSpec, canonical_json
+from .stages import BASE_STAGES, stage_key
 from .store import ArtifactStore, CACHED, COMPUTED, NullStore
 
 logger = logging.getLogger(__name__)
+
+#: Worker heartbeat period (pool mode).
+HEARTBEAT_INTERVAL_S = 0.5
+
+#: Heartbeat age past which the watchdog counts a pool worker as dead or
+#: frozen and kills it.
+STALL_TIMEOUT_S = 15.0
+
+
+# --------------------------------------------------------------------------
+# Sweep points.
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SweepAxis:
+    """One sweep dimension: a dotted spec path and its values.
+
+    ``path`` addresses a field of an enabled spec section, e.g.
+    ``"design.budget_towers"`` or ``"netsim.loads"``.
+    """
+
+    path: str
+    values: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
+        if not self.values:
+            raise ValueError(f"axis {self.path!r} needs at least one value")
+
+
+def _axis_list(
+    axes: Mapping[str, Sequence] | Sequence[SweepAxis],
+) -> tuple[SweepAxis, ...]:
+    if isinstance(axes, Mapping):
+        return tuple(SweepAxis(path, tuple(values)) for path, values in axes.items())
+    return tuple(
+        a if isinstance(a, SweepAxis) else SweepAxis(a[0], tuple(a[1])) for a in axes
+    )
+
+
+def expand_points(
+    base_spec: ExperimentSpec, axes: tuple[SweepAxis, ...]
+) -> list[tuple[dict, ExperimentSpec]]:
+    """(axis-assignment, spec) for every sweep point, in sweep order.
+
+    The cartesian product of the axis values, first axis outermost —
+    the single source of point indexing (a journal written by one
+    session must mean the same points to the session that resumes it).
+    """
+    combos = itertools.product(*(axis.values for axis in axes))
+    points = []
+    for combo in combos:
+        spec = base_spec
+        assignment: dict[str, Any] = {}
+        for axis, value in zip(axes, combo):
+            spec = spec.with_value(axis.path, value)
+            assignment[axis.path] = value
+        points.append((assignment, spec))
+    return points
+
+
+def point_waves(
+    points: list[tuple[dict, ExperimentSpec]],
+    store: ArtifactStore,
+    indices: Sequence[int] | None = None,
+) -> list[list[int]]:
+    """Schedule points so shared expensive stages compute once.
+
+    Cold points sharing a substrate or design key would otherwise
+    race: every worker misses the store at the same time and
+    redundantly rebuilds the same artifact.  Each wave runs one
+    representative point per distinct stage key (substrate first,
+    then design) so later waves find the shared artifacts published;
+    on a warm store the extra barriers cost microseconds.  With a
+    NullStore nothing is shareable, so there is one wave.
+
+    ``indices`` restricts scheduling to a subset of the points (the
+    resume path only schedules points without a journal entry).
+    """
+    order = list(range(len(points))) if indices is None else list(indices)
+    if isinstance(store, NullStore):
+        return [order] if order else []
+    remaining = order
+    waves: list[list[int]] = []
+    for stage_name in BASE_STAGES:
+        reps: list[int] = []
+        rest: list[int] = []
+        seen: set[str] = set()
+        for index in remaining:
+            key = stage_key(points[index][1], stage_name)
+            if key in seen:
+                rest.append(index)
+            else:
+                seen.add(key)
+                reps.append(index)
+        if rest:  # sharing exists at this level: barrier after reps
+            waves.append(reps)
+            remaining = rest
+    if remaining:
+        waves.append(remaining)
+    return waves
 
 
 def sweep_fingerprint(
@@ -145,15 +253,23 @@ class PointFailure:
 
 
 @dataclass
-class ServiceResult(SweepResult):
-    """A :class:`SweepResult` plus fault-tolerance accounting.
+class SweepResult:
+    """A finished sweep: the tidy table plus execution accounting.
 
     ``records`` / ``records_json()`` cover the *done* points only, in
-    point order — for a sweep with no quarantined points this is
-    byte-identical to :meth:`SweepRunner.run`'s result, whether the
-    points ran in one shot or across crashes and resumes.
+    point order — for a sweep with no quarantined points the table is
+    byte-identical whatever ``jobs`` was, and whether the points ran in
+    one shot or across crashes and resumes.
 
     Attributes:
+        axes: the sweep axes, first axis outermost.
+        records: one row per (done point, stage row), in point order;
+            every row carries ``point`` plus one column per axis path.
+        points: the per-point :class:`ExperimentRun` summaries
+            (records + stage status), in point order; a point that did
+            not finish has empty records and status.
+        stage_counts: stage -> {"computed": n, "cached": n} aggregated
+            over all done points.
         failures: quarantined points (index, assignment, attempts, last
             error), also persisted to ``failures.json`` in the journal.
         interrupted: the run stopped early (``request_stop`` / SIGINT);
@@ -162,9 +278,16 @@ class ServiceResult(SweepResult):
             instead of executing.
         executed_points: points actually executed this session.
         pool_restarts: how many times the watchdog respawned the pool.
-        journal_dir: where the journal (and failure report) lives.
+        journal_dir: where the journal (and failure report) lives;
+            ``None`` for a journal-free sweep.
+        session_stage_counts: like ``stage_counts``, for the points
+            executed this session only.
     """
 
+    axes: tuple[SweepAxis, ...]
+    records: list[dict]
+    points: list[ExperimentRun]
+    stage_counts: dict[str, dict[str, int]]
     failures: list[PointFailure] = field(default_factory=list)
     interrupted: bool = False
     resumed_points: int = 0
@@ -172,6 +295,14 @@ class ServiceResult(SweepResult):
     pool_restarts: int = 0
     journal_dir: Path | None = None
     session_stage_counts: dict[str, dict[str, int]] = field(default_factory=dict)
+
+    def records_json(self) -> str:
+        """Canonical JSON of the table (byte-comparable across runs)."""
+        return canonical_json(self.records)
+
+    def executed(self, stage: str) -> int:
+        """How many points actually *computed* this stage (vs cache hits)."""
+        return self.stage_counts.get(stage, {}).get(COMPUTED, 0)
 
     def session_executed(self, stage: str) -> int:
         """Stage executions (not cache hits) *this session* only."""
@@ -227,12 +358,25 @@ class _Heartbeat(threading.Thread):
 _WORKER_HEARTBEAT: _Heartbeat | None = None
 
 
-def _ensure_heartbeat(hb_dir: str, interval_s: float) -> _Heartbeat:
+def _ensure_heartbeat(hb_dir: str) -> _Heartbeat:
     global _WORKER_HEARTBEAT
     if _WORKER_HEARTBEAT is None:
-        _WORKER_HEARTBEAT = _Heartbeat(hb_dir, interval_s)
+        _WORKER_HEARTBEAT = _Heartbeat(hb_dir, HEARTBEAT_INTERVAL_S)
         _WORKER_HEARTBEAT.start()
     return _WORKER_HEARTBEAT
+
+
+#: One store per (worker process, root): keeps the store's per-process
+#: memory layer effective across the several points a worker executes.
+_WORKER_STORES: dict[str | None, ArtifactStore] = {}
+
+
+def _worker_store(store_root: str | None) -> ArtifactStore:
+    if store_root not in _WORKER_STORES:
+        _WORKER_STORES[store_root] = (
+            ArtifactStore(store_root) if store_root is not None else NullStore()
+        )
+    return _WORKER_STORES[store_root]
 
 
 def _service_worker(
@@ -241,7 +385,6 @@ def _service_worker(
     index: int,
     attempt: int,
     hb_dir: str,
-    hb_interval_s: float,
     fault_doc: dict | None,
 ) -> tuple:
     """Pool entry: run one point, reporting errors as data (never raising).
@@ -250,7 +393,7 @@ def _service_worker(
     ``("error", ...)`` keeps the supervisor's retry bookkeeping in one
     place and reserves exceptions for genuine pool breakage.
     """
-    heartbeat = _ensure_heartbeat(hb_dir, hb_interval_s)
+    heartbeat = _ensure_heartbeat(hb_dir)
     heartbeat.set_task(index, attempt)
     try:
         plan = FaultPlan.from_dict(fault_doc) if fault_doc else None
@@ -285,23 +428,34 @@ class SweepService:
     Args:
         base_spec: the spec every point starts from.
         axes: mapping of dotted spec path -> values (or ``SweepAxis``
-            list), exactly as for :class:`~repro.exp.SweepRunner`.
-        store: shared artifact cache.  The journal lives under
+            list); the sweep is the cartesian product, first axis
+            outermost.
+        store: shared artifact cache (an on-disk store for reuse across
+            points, processes and sessions; ``NullStore`` disables
+            caching).  The journal lives under
             ``<store root>/sweeps/<fingerprint>`` unless ``journal_dir``
-            overrides it; a :class:`NullStore` needs an explicit
-            ``journal_dir``.
+            overrides it; a :class:`NullStore` with no ``journal_dir``
+            journals into a private temporary directory that
+            :meth:`run` removes.
         jobs: worker processes; 1 executes points inline.
         journal_dir: explicit journal location.
         resume: load the existing journal and execute only points
-            without a ``done`` entry.
+            without a ``done`` entry (needs a durable journal).
         retry: bounded-retry policy (attempts, backoff, jitter).
         point_timeout_s: wall-clock budget per point attempt; the
             watchdog kills the worker past it (pool mode only).
-        heartbeat_interval_s: worker heartbeat period.
-        stall_timeout_s: heartbeat age past which a worker counts as
-            dead/frozen and is killed (pool mode only).
         poll_interval_s: supervisor wait tick (watchdog granularity).
         fault_plan: deterministic fault injection for chaos tests.
+
+    Example::
+
+        service = SweepService(
+            spec,
+            axes={"design.budget_towers": [500, 1000, 1500],
+                  "netsim.loads": [(0.3,), (0.9,)]},
+            jobs=4,
+        )
+        result = service.run()
     """
 
     def __init__(
@@ -314,8 +468,6 @@ class SweepService:
         resume: bool = False,
         retry: RetryPolicy | None = None,
         point_timeout_s: float | None = None,
-        heartbeat_interval_s: float = 0.5,
-        stall_timeout_s: float = 15.0,
         poll_interval_s: float = 0.25,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -327,8 +479,6 @@ class SweepService:
         self.jobs = jobs
         self.retry = retry if retry is not None else RetryPolicy()
         self.point_timeout_s = point_timeout_s
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.stall_timeout_s = stall_timeout_s
         self.poll_interval_s = poll_interval_s
         self.fault_plan = fault_plan
         # Fail fast on bad paths / disabled sections before any work runs.
@@ -336,18 +486,28 @@ class SweepService:
             base_spec.with_value(axis.path, axis.values[0])
         self.points = expand_points(base_spec, self.axes)
         self.fingerprint = sweep_fingerprint(base_spec, self.axes)
-        if journal_dir is None:
-            if isinstance(self.store, NullStore) or self.store.root is None:
-                raise ValueError(
-                    "a resumable sweep needs an on-disk artifact store or "
-                    "an explicit journal_dir (got NullStore and no "
-                    "journal_dir)"
-                )
-            journal_dir = (
+        # The durable journal location; None when the journal is private.
+        self.journal_dir: Path | None = None
+        self._private_journal: str | None = None
+        if journal_dir is not None:
+            self.journal_dir = Path(journal_dir)
+        elif not isinstance(self.store, NullStore):
+            self.journal_dir = (
                 Path(self.store.root) / "sweeps" / self.fingerprint[:16]
             )
+        elif resume:
+            raise ValueError(
+                "resume=True needs a durable journal: pass journal_dir "
+                "(a NullStore sweep without one journals privately and "
+                "cannot resume)"
+            )
+        else:
+            self._private_journal = tempfile.mkdtemp(prefix="repro-sweep-")
         self.queue = WorkQueue(
-            journal_dir, self.fingerprint, len(self.points), resume=resume
+            self.journal_dir or self._private_journal,
+            self.fingerprint,
+            len(self.points),
+            resume=resume,
         )
         self._stop = threading.Event()
         self._restarts = 0
@@ -369,24 +529,33 @@ class SweepService:
 
     def run(
         self, on_point: Callable[[int, list[dict]], None] | None = None
-    ) -> ServiceResult:
+    ) -> SweepResult:
         """Execute (or resume) the sweep; see the class docs.
 
         ``on_point(index, rows)`` fires for points executed this
         session, in completion order (journal-resumed points are loaded,
         not re-announced).
+
+        The journal file is closed when this returns (queue queries
+        such as ``service.queue.counts()`` keep working), and a private
+        journal directory is removed.
         """
         self._on_point = on_point
-        resumed = len(self.queue.done_indices())
-        self._session_counts: dict[str, dict[str, int]] = {}
-        self._session_records: dict[int, list[dict]] = {}
-        pending = self.queue.pending_indices()
-        if pending and not self._stop.is_set():
-            if self.jobs == 1:
-                self._run_inline(pending)
-            else:
-                self._run_pool(pending)
-        return self._collect(resumed)
+        try:
+            resumed = len(self.queue.done_indices())
+            self._session_counts: dict[str, dict[str, int]] = {}
+            self._session_records: dict[int, list[dict]] = {}
+            pending = self.queue.pending_indices()
+            if pending and not self._stop.is_set():
+                if self.jobs == 1:
+                    self._run_inline(pending)
+                else:
+                    self._run_pool(pending)
+            return self._collect(resumed)
+        finally:
+            self.queue.close()
+            if self._private_journal is not None:
+                shutil.rmtree(self._private_journal, ignore_errors=True)
 
     # .. inline (jobs=1) ..................................................
 
@@ -395,42 +564,39 @@ class SweepService:
         # No wave scheduling inline: one process never races itself, and
         # the store's memory layer already dedups shared stages — wave
         # key hashing would only add per-point overhead.
-        for wave in (pending,):
-            ready = deque(wave)
-            retry_at: dict[int, float] = {}
-            while (ready or retry_at) and not self._stop.is_set():
-                if ready:
-                    index = ready.popleft()
-                else:  # everything left is backing off; sleep to the next
-                    index, when = min(retry_at.items(), key=lambda kv: kv[1])
-                    delay = when - time.monotonic()
-                    if delay > 0:
-                        self._stop.wait(delay)
-                        if self._stop.is_set():
-                            break
-                    del retry_at[index]
-                attempt = self.queue.record(index).attempts + 1
-                self.queue.mark_running(index, owner=owner)
-                try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.fire_before(index, attempt)
-                    run = run_experiment(
-                        self.points[index][1], store=self.store
+        ready = deque(pending)
+        retry_at: dict[int, float] = {}
+        while (ready or retry_at) and not self._stop.is_set():
+            if ready:
+                index = ready.popleft()
+            else:  # everything left is backing off; sleep to the next
+                index, when = min(retry_at.items(), key=lambda kv: kv[1])
+                delay = when - time.monotonic()
+                if delay > 0:
+                    self._stop.wait(delay)
+                    if self._stop.is_set():
+                        break
+                del retry_at[index]
+            attempt = self.queue.record(index).attempts + 1
+            self.queue.mark_running(index, owner=owner)
+            try:
+                if self.fault_plan is not None:
+                    self.fault_plan.fire_before(index, attempt)
+                run = run_experiment(self.points[index][1], store=self.store)
+                if self.fault_plan is not None:
+                    self.fault_plan.fire_after(
+                        index, attempt, self.points[index][1], self.store
                     )
-                    if self.fault_plan is not None:
-                        self.fault_plan.fire_after(
-                            index, attempt, self.points[index][1], self.store
-                        )
-                except Exception as exc:
-                    when = self._note_failure(
-                        index, attempt, f"{type(exc).__name__}: {exc}"
-                    )
-                    if when is not None:
-                        retry_at[index] = when
-                else:
-                    self._finish_point(
-                        index, attempt, run.records, run.stage_status, owner
-                    )
+            except Exception as exc:
+                when = self._note_failure(
+                    index, attempt, f"{type(exc).__name__}: {exc}"
+                )
+                if when is not None:
+                    retry_at[index] = when
+            else:
+                self._finish_point(
+                    index, attempt, run.records, run.stage_status, owner
+                )
 
     # .. pool (jobs>=2) ...................................................
 
@@ -470,7 +636,6 @@ class SweepService:
                             index,
                             attempt,
                             str(self.queue.heartbeat_dir),
-                            self.heartbeat_interval_s,
                             fault_doc,
                         )
                         futures[future] = index
@@ -642,10 +807,7 @@ class SweepService:
                     f"timeout (worker pid {pid} killed)"
                 )
                 victims[pid] = task
-            elif (
-                self.stall_timeout_s is not None
-                and now - stamp > self.stall_timeout_s
-            ):
+            elif now - stamp > STALL_TIMEOUT_S:
                 self._kill_reasons[task] = (
                     f"watchdog: worker pid {pid} heartbeat stale for "
                     f"{now - stamp:.1f}s (killed)"
@@ -712,7 +874,7 @@ class SweepService:
 
     # -- assembly ---------------------------------------------------------
 
-    def _collect(self, resumed: int) -> ServiceResult:
+    def _collect(self, resumed: int) -> SweepResult:
         table: list[dict] = []
         runs: list[ExperimentRun] = []
         counts: dict[str, dict[str, int]] = {}
@@ -770,7 +932,7 @@ class SweepService:
                 )
             )
         self.queue.write_failure_report([f.to_dict() for f in failures])
-        return ServiceResult(
+        return SweepResult(
             axes=self.axes,
             records=table,
             points=runs,
@@ -780,6 +942,6 @@ class SweepService:
             resumed_points=resumed,
             executed_points=self._executed,
             pool_restarts=self._restarts,
-            journal_dir=self.queue.journal_dir,
+            journal_dir=self.journal_dir,
             session_stage_counts=self._session_counts,
         )

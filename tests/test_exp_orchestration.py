@@ -24,9 +24,10 @@ from repro.exp import (
     NetsimSpec,
     NullStore,
     ScenarioSpec,
-    SweepRunner,
+    SweepService,
     WeatherSpec,
     canonical_json,
+    expand_points,
     run_experiment,
     stage_key,
 )
@@ -251,34 +252,49 @@ AXES = {
 
 
 class TestSweepRunner:
+    """Sweep execution semantics, driven through SweepService."""
+
     def test_warm_two_axis_sweep_is_byte_identical_and_skips_stages(
         self, shared_store
     ):
         """The PR acceptance criterion, end to end."""
         spec = tiny_spec()
-        cold = SweepRunner(spec, AXES, store=shared_store).run()
-        warm = SweepRunner(spec, AXES, store=shared_store).run()
+        cold = SweepService(spec, AXES, store=shared_store).run()
+        warm = SweepService(spec, AXES, store=shared_store).run()
         assert cold.records_json() == warm.records_json()
         assert warm.executed("substrate") == 0
         assert warm.executed("design") == 0
         assert warm.stage_counts["design"]["cached"] == 4
 
+    def test_table_is_per_point_runs_in_point_order(self, shared_store):
+        """The table is each point's own run_experiment rows, tagged."""
+        spec = tiny_spec()
+        result = SweepService(spec, AXES, store=shared_store).run()
+        expected = [
+            {"point": index, **assignment, **row}
+            for index, (assignment, point_spec) in enumerate(
+                expand_points(spec, result.axes)
+            )
+            for row in run_experiment(point_spec, store=shared_store).records
+        ]
+        assert result.records_json() == canonical_json(expected)
+
     def test_jobs_4_matches_jobs_1(self, shared_store):
         spec = tiny_spec()
-        serial = SweepRunner(spec, AXES, store=shared_store, jobs=1).run()
-        parallel = SweepRunner(spec, AXES, store=shared_store, jobs=4).run()
+        serial = SweepService(spec, AXES, store=shared_store, jobs=1).run()
+        parallel = SweepService(spec, AXES, store=shared_store, jobs=4).run()
         assert serial.records_json() == parallel.records_json()
 
     def test_parallel_cold_sweep_computes_shared_stages_once(self, tmp_path):
         """Workers must not race to rebuild shared substrates/designs."""
-        result = SweepRunner(
+        result = SweepService(
             tiny_spec(), AXES, store=ArtifactStore(tmp_path), jobs=4
         ).run()
         assert result.stage_counts["substrate"]["computed"] == 1
         assert result.stage_counts["design"]["computed"] == 2  # one per budget
 
     def test_point_rows_carry_axis_columns(self, shared_store):
-        result = SweepRunner(tiny_spec(), AXES, store=shared_store).run()
+        result = SweepService(tiny_spec(), AXES, store=shared_store).run()
         row = result.records[0]
         assert row["point"] == 0
         assert row["design.budget_towers"] == 100.0
@@ -286,14 +302,14 @@ class TestSweepRunner:
 
     def test_streaming_callback_sees_every_point(self, shared_store):
         seen = []
-        SweepRunner(tiny_spec(), AXES, store=shared_store).run(
+        SweepService(tiny_spec(), AXES, store=shared_store).run(
             on_point=lambda index, rows: seen.append(index)
         )
         assert sorted(seen) == [0, 1, 2, 3]
 
     def test_bad_axis_path_fails_before_any_work(self, shared_store):
         with pytest.raises(ValueError, match="not enabled"):
-            SweepRunner(
+            SweepService(
                 tiny_spec(weather=None),
                 {"weather.n_intervals": [3, 5]},
                 store=shared_store,
@@ -301,8 +317,9 @@ class TestSweepRunner:
 
     def test_null_store_still_deterministic(self):
         spec = tiny_spec()
-        a = SweepRunner(spec, {"design.budget_towers": [100.0]}, store=NullStore()).run()
-        b = SweepRunner(spec, {"design.budget_towers": [100.0]}, store=NullStore()).run()
+        axes = {"design.budget_towers": [100.0]}
+        a = SweepService(spec, axes, store=NullStore()).run()
+        b = SweepService(spec, axes, store=NullStore()).run()
         assert a.records_json() == b.records_json()
         assert a.executed("design") == 1
 

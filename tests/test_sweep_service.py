@@ -18,6 +18,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,8 +37,6 @@ from repro.exp import (
     NullStore,
     RetryPolicy,
     ScenarioSpec,
-    SweepPointError,
-    SweepRunner,
     SweepService,
     WorkQueue,
     corrupt_artifact,
@@ -45,7 +44,7 @@ from repro.exp import (
     stage_key,
     sweep_fingerprint,
 )
-from repro.exp.runner import _axis_list
+from repro.exp.service import _axis_list
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -78,10 +77,9 @@ FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01)
 
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
-    """The uninterrupted SweepRunner result every service run must match."""
+    """The uninterrupted, fault-free result every service run must match."""
     store = ArtifactStore(tmp_path_factory.mktemp("baseline-store"))
-    result = SweepRunner(tiny_spec(), axes=AXES, store=store, jobs=1).run()
-    return result
+    return SweepService(tiny_spec(), axes=AXES, store=store, jobs=1).run()
 
 
 # --------------------------------------------------------------------------
@@ -265,37 +263,40 @@ class TestStoreQuarantine:
 
 
 # --------------------------------------------------------------------------
-# SweepRunner failure naming (satellite a).
+# Point failures: quarantined by name, other points' rows kept.
 # --------------------------------------------------------------------------
 
-class TestSweepPointError:
-    def test_inline_failure_names_point_and_keeps_rows(self, tmp_path):
-        axes = {"design.aggregate_gbps": [20.0, -5.0]}
-        runner = SweepRunner(
-            tiny_spec(), axes=axes,
-            store=ArtifactStore(tmp_path / "s"), jobs=1,
+#: Point 1 (a negative aggregate) fails in the design stage every time.
+FAILING_AXES = {"design.aggregate_gbps": [20.0, -5.0]}
+
+
+class TestPointQuarantine:
+    def _run(self, tmp_path, jobs):
+        service = SweepService(
+            tiny_spec(), axes=FAILING_AXES,
+            store=ArtifactStore(tmp_path / "s"), jobs=jobs,
+            retry=RetryPolicy(max_attempts=1), poll_interval_s=0.05,
         )
-        with pytest.raises(SweepPointError) as excinfo:
-            runner.run()
-        err = excinfo.value
-        assert err.index == 1
-        assert err.assignment == {"design.aggregate_gbps": -5.0}
-        assert err.completed == [0]
-        assert err.partial_records
-        assert all(row["point"] == 0 for row in err.partial_records)
-        assert "sweep point 1" in str(err)
-        assert "design.aggregate_gbps" in str(err)
+        return service.run()
+
+    def _assert_point_1_quarantined(self, result):
+        assert [f.index for f in result.failures] == [1]
+        failure = result.failures[0]
+        assert failure.assignment == {"design.aggregate_gbps": -5.0}
+        assert failure.attempts == 1
+        assert "ValueError" in failure.error
+        assert "aggregate" in failure.error
+        assert not result.interrupted
+        # Point 0's rows survive; point 1 contributes none.
+        assert result.records
+        assert all(row["point"] == 0 for row in result.records)
+        assert result.points[1].records == []
+
+    def test_inline_failure_names_point_and_keeps_rows(self, tmp_path):
+        self._assert_point_1_quarantined(self._run(tmp_path, jobs=1))
 
     def test_pool_failure_names_point(self, tmp_path):
-        axes = {"design.aggregate_gbps": [20.0, -5.0]}
-        runner = SweepRunner(
-            tiny_spec(), axes=axes,
-            store=ArtifactStore(tmp_path / "s"), jobs=2,
-        )
-        with pytest.raises(SweepPointError) as excinfo:
-            runner.run()
-        assert excinfo.value.index == 1
-        assert excinfo.value.assignment == {"design.aggregate_gbps": -5.0}
+        self._assert_point_1_quarantined(self._run(tmp_path, jobs=2))
 
 
 # --------------------------------------------------------------------------
@@ -317,9 +318,48 @@ class TestSweepService:
         # A clean sweep writes no quarantine report.
         assert not service.queue.failure_report_path.exists()
 
-    def test_nullstore_requires_journal_dir(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_journal_free_nullstore_sweep_matches_journaled(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        journaled = SweepService(
+            tiny_spec(), axes=AXES, store=NullStore(), jobs=jobs,
+            journal_dir=tmp_path / "journal",
+        ).run()
+        before = set(tmp_path.iterdir())
+        service = SweepService(
+            tiny_spec(), axes=AXES, store=NullStore(), jobs=jobs
+        )
+        assert service.journal_dir is None
+        private = service.queue.journal_dir
+        assert private.parent == tmp_path
+        result = service.run()
+        assert result.records_json() == journaled.records_json()
+        assert result.journal_dir is None
+        assert not private.exists()
+        assert set(tmp_path.iterdir()) == before
+        assert service.queue.counts()["done"] == len(service.points)
+
+    def test_journal_free_resume_raises(self):
         with pytest.raises(ValueError, match="journal_dir"):
-            SweepService(tiny_spec(), axes=AXES, store=NullStore())
+            SweepService(
+                tiny_spec(), axes=AXES, store=NullStore(), resume=True
+            )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_run_releases_journal_fd(self, tmp_path, baseline):
+        store = ArtifactStore(tmp_path / "s")
+        SweepService(tiny_spec(), axes=AXES, store=store).run()  # warm up
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(10):
+            service = SweepService(tiny_spec(), axes=AXES, store=store)
+            result = service.run()
+            assert result.records_json() == baseline.records_json()
+            assert service.queue.counts()["done"] == len(service.points)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_transient_fault_retries_to_success(self, tmp_path, baseline):
         plan = FaultPlan(faults=(Fault(point=1, action="fail", attempt=1),))
@@ -583,3 +623,16 @@ class TestCliFaultTolerance:
         )
         assert out.returncode != 0
         assert "--journal-dir" in out.stderr
+
+    def test_no_cache_sweep_quarantines_without_report(self, cli_sweep_dir):
+        doc = dict(SPEC_DOC, axes={"design.aggregate_gbps": [20.0, -5.0]})
+        (cli_sweep_dir / "spec.json").write_text(json.dumps(doc))
+        out = _run_cli(
+            ["run", "spec.json", "--json", "--no-cache", "--retries", "1"],
+            cli_sweep_dir,
+        )
+        assert out.returncode == 1, out.stderr
+        assert "1 point(s) quarantined after retries:" in out.stderr
+        assert "point 1" in out.stderr
+        rows = json.loads(out.stdout)
+        assert rows and all(row["point"] == 0 for row in rows)
