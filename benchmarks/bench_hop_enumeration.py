@@ -1,12 +1,12 @@
 """Hop-enumeration speedup: spatial-indexed pipeline vs brute force.
 
 The candidate-hop pipeline prunes tower pairs beyond radio range with a
-grid spatial index before any terrain work and memoizes terrain
-profiles.  This benchmark times it against the brute-force pairwise
-path (every one of the n(n-1)/2 pairs pushed through the batch LoS
-checker) on a 500-tower continental field, verifies the two paths find
-*identical* hop sets, and reports the speedup — plus the warm-cache
-speedup of a re-enumeration over the same field.
+grid spatial index before any terrain work.  This benchmark times it
+against the brute-force pairwise path (every one of the n(n-1)/2 pairs
+pushed through the batch LoS checker) on a 500-tower continental field,
+verifies the two paths find *identical* hop sets, checks that a second
+enumeration reproduces the hop graph byte for byte, and reports the
+speedup.  Each run appends a record to ``BENCH_hop_enumeration.json``.
 """
 
 import time
@@ -18,7 +18,7 @@ from repro.geo.terrain import us_terrain
 from repro.towers.los import LosChecker, LosConfig
 from repro.towers.registry import Tower, TowerRegistry
 
-from _support import report
+from _support import report, write_bench_json
 
 N_TOWERS = 500
 
@@ -69,26 +69,27 @@ def run_comparison(n_towers: int = N_TOWERS) -> dict:
     brute_hops = _brute_force_hops(registry, LosChecker(terrain, config))
     brute_s = time.perf_counter() - t0
 
-    pipeline = HopPipeline.from_terrain(terrain, config)
+    pipeline = HopPipeline(LosChecker(terrain, config))
     t0 = time.perf_counter()
     graph = pipeline.enumerate_hops(registry)
-    cold_s = time.perf_counter() - t0
+    pipeline_s = time.perf_counter() - t0
     pipeline_hops = {
         (int(i), int(j)) for i, j in zip(graph.edges_a, graph.edges_b)
     }
 
-    t0 = time.perf_counter()
     graph2 = pipeline.enumerate_hops(registry)
-    warm_s = time.perf_counter() - t0
-    warm_hops = {
-        (int(i), int(j)) for i, j in zip(graph2.edges_a, graph2.edges_b)
-    }
 
     assert pipeline_hops == brute_hops, (
         f"hop sets differ: pipeline {len(pipeline_hops)} vs "
         f"brute force {len(brute_hops)}"
     )
-    assert warm_hops == pipeline_hops, "warm re-enumeration changed the hop set"
+    assert all(
+        np.array_equal(x, y)
+        for x, y in zip(
+            (graph.edges_a, graph.edges_b, graph.lengths_km),
+            (graph2.edges_a, graph2.edges_b, graph2.lengths_km),
+        )
+    ), "re-enumeration changed the hop graph"
 
     stats = pipeline.stats
     return {
@@ -97,11 +98,8 @@ def run_comparison(n_towers: int = N_TOWERS) -> dict:
         "candidate_pairs": stats.candidate_pairs,
         "feasible_hops": len(pipeline_hops),
         "brute_s": brute_s,
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "speedup_cold": brute_s / cold_s if cold_s > 0 else float("inf"),
-        "speedup_warm": brute_s / warm_s if warm_s > 0 else float("inf"),
-        "cache": pipeline.checker.cache_stats(),
+        "pipeline_s": pipeline_s,
+        "speedup": brute_s / pipeline_s if pipeline_s > 0 else float("inf"),
     }
 
 
@@ -111,26 +109,34 @@ def bench_hop_enumeration(benchmark=None):
         "path                 pairs_checked  feasible  runtime_s  speedup",
         f"brute force          {r['all_pairs']:13d}  {r['feasible_hops']:8d}  "
         f"{r['brute_s']:9.3f}  {1.0:7.1f}x",
-        f"pipeline (cold)      {r['candidate_pairs']:13d}  {r['feasible_hops']:8d}  "
-        f"{r['cold_s']:9.3f}  {r['speedup_cold']:7.1f}x",
-        f"pipeline (warm)      {r['candidate_pairs']:13d}  {r['feasible_hops']:8d}  "
-        f"{r['warm_s']:9.3f}  {r['speedup_warm']:7.1f}x",
-        f"hop sets identical across all three paths "
+        f"pipeline             {r['candidate_pairs']:13d}  {r['feasible_hops']:8d}  "
+        f"{r['pipeline_s']:9.3f}  {r['speedup']:7.1f}x",
+        f"hop sets identical across brute force and the pipeline "
         f"({r['feasible_hops']} hops over {r['n_towers']} towers)",
         f"spatial pruning discarded "
         f"{1.0 - r['candidate_pairs'] / r['all_pairs']:.1%} of pairs "
         f"before terrain work",
-        f"terrain profile cache: {r['cache']['profile_hits']} hits / "
-        f"{r['cache']['profile_misses']} misses",
     ]
-    assert r["speedup_cold"] >= MIN_SPEEDUP, (
-        f"pipeline speedup {r['speedup_cold']:.1f}x below the "
+    assert r["speedup"] >= MIN_SPEEDUP, (
+        f"pipeline speedup {r['speedup']:.1f}x below the "
         f"{MIN_SPEEDUP:.0f}x acceptance bar"
     )
     report("hop_enumeration", rows)
+    write_bench_json(
+        "hop_enumeration",
+        {
+            "n_towers": r["n_towers"],
+            "all_pairs": r["all_pairs"],
+            "candidate_pairs": r["candidate_pairs"],
+            "feasible_hops": r["feasible_hops"],
+            "brute_s": round(r["brute_s"], 3),
+            "pipeline_s": round(r["pipeline_s"], 3),
+            "speedup": round(r["speedup"], 2),
+        },
+    )
     if benchmark is not None:
         registry = _continental_registry()
-        pipeline = HopPipeline.from_terrain(us_terrain(), LosConfig())
+        pipeline = HopPipeline(LosChecker(us_terrain(), LosConfig()))
         benchmark.pedantic(
             lambda: pipeline.enumerate_hops(registry), rounds=1, iterations=1
         )

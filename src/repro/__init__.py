@@ -35,7 +35,6 @@ from .core import (
     get_solver,
     greedy_sequence,
     register_solver,
-    shared_pipeline,
     solve,
     solve_heuristic,
     solve_ilp,
@@ -73,7 +72,6 @@ __all__ = [
     "Solver",
     "get_solver",
     "register_solver",
-    "shared_pipeline",
     "solve",
     "solve_heuristic",
     "solve_ilp",

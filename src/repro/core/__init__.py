@@ -39,13 +39,7 @@ from .design import (
     solver_version,
     topology_from_links,
 )
-from .pipeline import (
-    CachingLosChecker,
-    HopPipeline,
-    PipelineStats,
-    enumerate_hops,
-    shared_pipeline,
-)
+from .pipeline import HopPipeline, PipelineStats
 from .heuristic import GreedyStep, HeuristicResult, greedy_sequence, solve_heuristic
 from .ilp import IlpResult, prune_useless_links, solve_ilp, useful_arcs_for_commodity
 from .lp_rounding import LpRoundingResult, solve_lp_rounding
@@ -88,11 +82,8 @@ __all__ = [
     "solver_names",
     "solver_version",
     "topology_from_links",
-    "CachingLosChecker",
     "HopPipeline",
     "PipelineStats",
-    "enumerate_hops",
-    "shared_pipeline",
     "GreedyStep",
     "HeuristicResult",
     "greedy_sequence",

@@ -1,9 +1,9 @@
-"""The candidate-hop pipeline: spatial pruning -> cached, chunked LoS.
+"""The candidate-hop pipeline: spatial pruning -> chunked LoS.
 
 Feasible-hop enumeration is the scale bottleneck of the whole system:
 the paper's US instantiation checks hundreds of thousands of candidate
 tower pairs against terrain profiles.  This module stages that work so
-each part is only done when (and once) it must be:
+terrain is only sampled where it must be:
 
 1. **Spatial pruning** — a :class:`~repro.geo.spatial.GridIndex` over
    the tower field discards every pair beyond
@@ -13,177 +13,26 @@ each part is only done when (and once) it must be:
    checker in bounded chunks (memory stays flat no matter how many
    candidates), grouped by per-pair sample count so every hop gets its
    deterministic fidelity.
-3. **Terrain-profile reuse** — a :class:`CachingLosChecker` memoizes
-   terrain profiles and tower-base elevations in LRU caches keyed by
-   quantized endpoints, so re-enumerations over the same tower field
-   (parameter sweeps over usable height, radio range, clutter...) skip
-   the terrain model entirely.
 
-:func:`enumerate_hops` is the front door;
-:meth:`HopPipeline.enumerate_hops` gives reuse of the caches across
-calls.
+Repeated substrates are served by the artifact store
+(:mod:`repro.exp`), not by an in-process terrain cache.
+:func:`repro.towers.hops.build_hop_graph` is the front door;
+:class:`HopPipeline` exposes the stages and their work accounting.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..geo.coords import haversine_km
 from ..geo.spatial import GridIndex
-from ..geo.terrain import TerrainModel
-from ..towers.los import LosChecker, LosConfig
+from ..towers.los import LosChecker
 from ..towers.registry import TowerRegistry
 
 #: Default LoS chunk size (pairs per vectorized batch).
 DEFAULT_CHUNK_SIZE = 4096
-
-#: Default LRU capacity: cached terrain profiles (one row per hop).
-DEFAULT_PROFILE_CAPACITY = 200_000
-
-#: Endpoint quantization for cache keys, degrees (~11 m).  Two
-#: endpoints closer than this share cached terrain.
-DEFAULT_QUANT_DEG = 1e-4
-
-
-class _LruCache:
-    """A small LRU mapping (OrderedDict-backed) with hit/miss counters."""
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key):
-        """The cached value, or None (and a miss) when absent."""
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-
-class CachingLosChecker(LosChecker):
-    """A :class:`LosChecker` that memoizes all terrain sampling.
-
-    Terrain profiles are cached per hop, keyed by quantized endpoints
-    and sample count; tower-base elevations are cached per point.  Hop
-    keys are canonicalized (endpoint order does not matter — the
-    reverse hop reuses the same profile, flipped), so A->B and B->A
-    share one entry.
-
-    The cache stores terrain heights, never feasibility, so every
-    radio/height/clutter parameter still applies fresh.  Verdicts match
-    the plain checker's up to the endpoint quantization: towers closer
-    than ``quant_deg`` (~11 m at the default) share cached terrain, so
-    a marginal hop between near-coincident towers can resolve from the
-    first-sampled tower's profile.  Real tower fields keep distinct
-    towers far apart relative to this tolerance.
-    """
-
-    def __init__(
-        self,
-        terrain: TerrainModel,
-        config: LosConfig | None = None,
-        profile_capacity: int = DEFAULT_PROFILE_CAPACITY,
-        quant_deg: float = DEFAULT_QUANT_DEG,
-    ):
-        super().__init__(terrain, config)
-        if quant_deg <= 0:
-            raise ValueError("quantization step must be positive")
-        self._quant = quant_deg
-        self._profiles = _LruCache(profile_capacity)
-        self._grounds = _LruCache(max(4 * profile_capacity, 1))
-
-    def _qpt(self, lat: float, lon: float) -> tuple[int, int]:
-        return (int(round(lat / self._quant)), int(round(lon / self._quant)))
-
-    def cache_stats(self) -> dict[str, int]:
-        """Profile/ground cache sizes and hit/miss counters."""
-        return {
-            "profile_entries": len(self._profiles),
-            "profile_hits": self._profiles.hits,
-            "profile_misses": self._profiles.misses,
-            "ground_entries": len(self._grounds),
-            "ground_hits": self._grounds.hits,
-            "ground_misses": self._grounds.misses,
-        }
-
-    def profile_terrain_m(self, lat_a, lon_a, lat_b, lon_b, m: int) -> np.ndarray:
-        lat_a = np.atleast_1d(np.asarray(lat_a, dtype=float))
-        lon_a = np.atleast_1d(np.asarray(lon_a, dtype=float))
-        lat_b = np.atleast_1d(np.asarray(lat_b, dtype=float))
-        lon_b = np.atleast_1d(np.asarray(lon_b, dtype=float))
-        n = len(lat_a)
-        rows: list[np.ndarray | None] = [None] * n
-        flipped = np.zeros(n, dtype=bool)
-        miss_idx: list[int] = []
-        keys: list[tuple] = []
-        for k in range(n):
-            qa = self._qpt(lat_a[k], lon_a[k])
-            qb = self._qpt(lat_b[k], lon_b[k])
-            # Canonical endpoint order; the interior sample grid is
-            # symmetric, so the reverse hop's profile is the flip.
-            if qb < qa:
-                qa, qb = qb, qa
-                flipped[k] = True
-            key = (qa, qb, m)
-            keys.append(key)
-            cached = self._profiles.get(key)
-            if cached is None:
-                miss_idx.append(k)
-            else:
-                rows[k] = cached[::-1] if flipped[k] else cached
-        if miss_idx:
-            mi = np.array(miss_idx)
-            fresh = super().profile_terrain_m(
-                lat_a[mi], lon_a[mi], lat_b[mi], lon_b[mi], m
-            )
-            for j, k in enumerate(miss_idx):
-                row = fresh[j]
-                canonical = row[::-1] if flipped[k] else row
-                self._profiles.put(keys[k], canonical)
-                rows[k] = row
-        return np.stack(rows)
-
-    def ground_elevation_m(self, lats, lons) -> np.ndarray:
-        lats = np.atleast_1d(np.asarray(lats, dtype=float))
-        lons = np.atleast_1d(np.asarray(lons, dtype=float))
-        n = len(lats)
-        out = np.empty(n, dtype=float)
-        miss_idx: list[int] = []
-        keys: list[tuple[int, int]] = []
-        for k in range(n):
-            key = self._qpt(lats[k], lons[k])
-            keys.append(key)
-            cached = self._grounds.get(key)
-            if cached is None:
-                miss_idx.append(k)
-            else:
-                out[k] = cached
-        if miss_idx:
-            mi = np.array(miss_idx)
-            fresh = super().ground_elevation_m(lats[mi], lons[mi])
-            for j, k in enumerate(miss_idx):
-                self._grounds.put(keys[k], float(fresh[j]))
-                out[k] = fresh[j]
-        return out
 
 
 @dataclass
@@ -211,16 +60,10 @@ class PipelineStats:
 
 
 class HopPipeline:
-    """Reusable spatial-pruning + cached-LoS hop enumerator.
-
-    One pipeline instance owns a checker (usually a
-    :class:`CachingLosChecker`) whose terrain caches persist across
-    :meth:`enumerate_hops` calls — the second enumeration over the same
-    tower field is mostly cache hits.
+    """Spatial-pruning + chunked-LoS hop enumerator.
 
     Args:
-        checker: the LoS checker to drive.  Use :meth:`from_terrain`
-            to get a caching one.
+        checker: the LoS checker to drive.
         chunk_size: candidate pairs per vectorized LoS batch.
     """
 
@@ -230,20 +73,6 @@ class HopPipeline:
         self.checker = checker
         self.chunk_size = chunk_size
         self.stats = PipelineStats()
-
-    @classmethod
-    def from_terrain(
-        cls,
-        terrain: TerrainModel,
-        config: LosConfig | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        profile_capacity: int = DEFAULT_PROFILE_CAPACITY,
-    ) -> "HopPipeline":
-        """A pipeline with a fresh caching checker over ``terrain``."""
-        return cls(
-            CachingLosChecker(terrain, config, profile_capacity=profile_capacity),
-            chunk_size=chunk_size,
-        )
 
     def candidate_pairs(self, registry: TowerRegistry) -> tuple[np.ndarray, np.ndarray]:
         """Spatially pruned tower pairs within radio range, (a, b) with a < b.
@@ -267,7 +96,7 @@ class HopPipeline:
         cand_a: np.ndarray,
         cand_b: np.ndarray,
     ) -> np.ndarray:
-        """LoS verdicts for candidate pair arrays, chunked and cached.
+        """LoS verdicts for candidate pair arrays, checked in chunks.
 
         Verdicts equal :meth:`LosChecker.hop_feasible` on each pair:
         pairs are grouped by their deterministic per-pair sample count,
@@ -319,45 +148,3 @@ class HopPipeline:
             lengths_km=np.atleast_1d(lengths),
         )
 
-
-def enumerate_hops(
-    registry: TowerRegistry,
-    checker: LosChecker,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-):
-    """One-shot hop enumeration through a fresh :class:`HopPipeline`."""
-    return HopPipeline(checker, chunk_size=chunk_size).enumerate_hops(registry)
-
-
-#: Shared terrain caches, keyed by (terrain model, quantization step).
-#: TerrainModel is a frozen value type, so equal terrains share caches
-#: even across separately constructed instances.
-_SHARED_TERRAIN_CACHES: dict[tuple, tuple[_LruCache, _LruCache]] = {}
-
-
-def shared_pipeline(
-    terrain: TerrainModel,
-    config: LosConfig | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    profile_capacity: int = DEFAULT_PROFILE_CAPACITY,
-) -> HopPipeline:
-    """A pipeline whose terrain caches are shared per terrain model.
-
-    Scenario builders use this so parameter sweeps (usable height
-    fraction, radio range, clutter...) over the same geography reuse
-    every terrain profile already sampled: the cache stores terrain
-    heights only, which are config-independent, while each returned
-    pipeline still applies its own :class:`LosConfig` to the verdicts.
-    """
-    checker = CachingLosChecker(terrain, config, profile_capacity=profile_capacity)
-    key = (terrain, checker._quant)
-    profiles, grounds = _SHARED_TERRAIN_CACHES.setdefault(
-        key, (checker._profiles, checker._grounds)
-    )
-    # Later callers may request a larger cache than the first: grow the
-    # shared instance so no caller's capacity is silently reduced.
-    profiles.capacity = max(profiles.capacity, profile_capacity)
-    grounds.capacity = max(grounds.capacity, 4 * profile_capacity)
-    checker._profiles = profiles
-    checker._grounds = grounds
-    return HopPipeline(checker, chunk_size=chunk_size)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -127,6 +128,21 @@ class ScenarioSpec:
             raise ValueError(
                 f"scenario {self.name!r} has a fixed site list; "
                 f"'sites' is not supported (got {self.sites})"
+            )
+        for name in ("max_range_km", "usable_height_fraction"):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be a finite number (got {value!r})")
+        if self.max_range_km <= 0:
+            raise ValueError(f"max_range_km must be positive (got {self.max_range_km})")
+        if not 0.0 < self.usable_height_fraction <= 1.0:
+            raise ValueError(
+                "usable_height_fraction must be in (0, 1] "
+                f"(got {self.usable_height_fraction})"
             )
         if self.name in FIXED_LOS_SCENARIOS and (
             self.max_range_km != 100.0 or self.usable_height_fraction != 1.0

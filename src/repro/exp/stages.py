@@ -370,7 +370,11 @@ def _run_econ(spec: ExperimentSpec, inputs: dict[str, Any]):
 STAGES: dict[str, Stage] = {
     "substrate": Stage(
         name="substrate",
-        version="1",
+        # v2: hop enumeration runs on the plain LosChecker (the
+        # terrain-profile cache is gone; hop graphs byte-identical) and
+        # ScenarioSpec rejects non-finite and out-of-range LoS
+        # overrides; payloads and records unchanged.
+        version="2",
         deps=_no_deps,
         payload=_substrate_payload,
         run=_run_substrate,
@@ -378,7 +382,10 @@ STAGES: dict[str, Stage] = {
     ),
     "design": Stage(
         name="design",
-        version="1",
+        # v2: ScenarioSpec (in every stage's code closure) rejects
+        # non-finite and out-of-range LoS overrides; payloads and records
+        # unchanged.
+        version="2",
         deps=_design_deps,
         payload=_design_payload,
         run=_run_design,
@@ -398,7 +405,10 @@ STAGES: dict[str, Stage] = {
         # (the spec keeps the key; it selects nothing) and the packet
         # engine reads the kept flows from the route pool (records
         # unchanged).
-        version="4",
+        # v5: ScenarioSpec (in every stage's code closure) rejects
+        # non-finite and out-of-range LoS overrides; payloads and records
+        # unchanged.
+        version="5",
         deps=lambda spec: ("design",),
         payload=_netsim_payload,
         run=_run_netsim,
@@ -415,7 +425,10 @@ STAGES: dict[str, Stage] = {
         # full solve, not bitwise), records gained a ``series="solver"``
         # counters row, and the payload grew ``sample_interval_days``
         # (daily-resolution grid), ``delta_k``, and ``cache_mb``.
-        version="3",
+        # v4: ScenarioSpec (in every stage's code closure) rejects
+        # non-finite and out-of-range LoS overrides; payloads and records
+        # unchanged.
+        version="4",
         deps=_weather_deps,
         payload=_weather_payload,
         run=_run_weather,
@@ -423,7 +436,10 @@ STAGES: dict[str, Stage] = {
     ),
     "apps": Stage(
         name="apps",
-        version="1",
+        # v2: ScenarioSpec (in every stage's code closure) rejects
+        # non-finite and out-of-range LoS overrides; payloads and records
+        # unchanged.
+        version="2",
         deps=_apps_deps,
         payload=_apps_payload,
         run=_run_apps,
@@ -431,7 +447,10 @@ STAGES: dict[str, Stage] = {
     ),
     "econ": Stage(
         name="econ",
-        version="1",
+        # v2: ScenarioSpec (in every stage's code closure) rejects
+        # non-finite and out-of-range LoS overrides; payloads and records
+        # unchanged.
+        version="2",
         deps=_econ_deps,
         payload=_econ_payload,
         run=_run_econ,

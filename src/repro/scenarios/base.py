@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.pipeline import HopPipeline, shared_pipeline
+from ..core.pipeline import HopPipeline
 from ..core.topology import DesignInput
 from ..datasets.sites import Site
 from ..fiber.conduits import FiberNetwork, build_conduit_network
@@ -21,7 +21,7 @@ from ..geo.fresnel import RadioProfile
 from ..geo.terrain import TerrainModel
 from ..links.builder import LinkCatalog, build_link_catalog
 from ..towers.hops import HopGraph
-from ..towers.los import LosConfig
+from ..towers.los import LosChecker, LosConfig
 from ..towers.registry import TowerRegistry, cull_towers
 from ..towers.synthesis import SynthesisConfig, synthesize_towers
 from ..traffic.matrices import dc_to_dc_matrix, population_product_matrix
@@ -89,7 +89,6 @@ def build_scenario(
     synthesis_config: SynthesisConfig | None = None,
     fiber_seed: int = 17,
     flat_fiber_stretch: float | None = None,
-    pipeline: HopPipeline | None = None,
 ) -> Scenario:
     """Run the full substrate pipeline for a site list.
 
@@ -103,17 +102,11 @@ def build_scenario(
         flat_fiber_stretch: if given, skip the conduit network and set
             o_ij = flat_fiber_stretch x geodesic (the paper's Europe
             assumption of ~1.9x latency inflation).
-        pipeline: candidate-hop pipeline to enumerate with; defaults to
-            a caching pipeline whose terrain profiles are shared across
-            all scenarios over the same terrain model, so parameter
-            sweeps skip re-sampling the elevation field.
     """
     los_config = los_config or LosConfig()
     towers = synthesize_towers(sites, terrain, synthesis_config)
     registry = TowerRegistry(cull_towers(towers))
-    if pipeline is None:
-        pipeline = shared_pipeline(terrain, los_config)
-    hop_graph = pipeline.enumerate_hops(registry)
+    hop_graph = HopPipeline(LosChecker(terrain, los_config)).enumerate_hops(registry)
     catalog = build_link_catalog(sites, registry, hop_graph)
     lats = [s.lat for s in sites]
     lons = [s.lon for s in sites]

@@ -9,16 +9,12 @@ paper uses crowd-sourced OpenCelliD towers).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from ..datasets.eu_cities import eu_population_centers
 from ..geo.fresnel import RadioProfile
 from ..geo.terrain import europe_terrain
 from ..towers.los import LosConfig
 from .base import Scenario, build_scenario
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.pipeline import HopPipeline
 
 #: The paper's US-measured fiber latency inflation, reused for Europe.
 EU_FIBER_STRETCH = 1.93
@@ -29,14 +25,8 @@ def europe_scenario(
     max_range_km: float = 100.0,
     usable_height_fraction: float = 1.0,
     seed: int = 43,
-    pipeline: "HopPipeline | None" = None,
 ) -> Scenario:
-    """Build (and cache) the European scenario.
-
-    The default ``pipeline`` shares European terrain profiles across
-    sweep points (range / usable-height variations re-check LoS over
-    the same tower field without re-sampling the elevation model).
-    """
+    """Build (and cache) the European scenario."""
     sites = eu_population_centers()
     terrain = europe_terrain()
     los = LosConfig(
@@ -52,5 +42,4 @@ def europe_scenario(
         los_config=los,
         synthesis_config=SynthesisConfig(seed=seed),
         flat_fiber_stretch=EU_FIBER_STRETCH,
-        pipeline=pipeline,
     )

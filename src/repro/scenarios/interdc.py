@@ -11,7 +11,6 @@ Two variants built on the US substrate:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from ..datasets.datacenters import google_us_datacenters
 from ..datasets.us_cities import us_population_centers
@@ -20,32 +19,21 @@ from ..towers.synthesis import SynthesisConfig
 from ..traffic.matrices import city_to_dc_matrix, dc_to_dc_matrix
 from .base import Scenario, build_scenario
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.pipeline import HopPipeline
-
 
 @lru_cache(maxsize=2)
-def interdc_scenario(seed: int = 44, pipeline: "HopPipeline | None" = None) -> Scenario:
-    """The six-data-center scenario.
-
-    Shares the US terrain-profile cache with the city scenarios by
-    default: DC tower fields over the same terrain reuse any profiles
-    already sampled there.
-    """
+def interdc_scenario(seed: int = 44) -> Scenario:
+    """The six-data-center scenario."""
     sites = google_us_datacenters()
     return build_scenario(
         name="us-interdc",
         sites=sites,
         terrain=us_terrain(),
         synthesis_config=SynthesisConfig(seed=seed),
-        pipeline=pipeline,
     )
 
 
 @lru_cache(maxsize=2)
-def city_dc_scenario(
-    n_cities: int = 120, seed: int = 45, pipeline: "HopPipeline | None" = None
-) -> Scenario:
+def city_dc_scenario(n_cities: int = 120, seed: int = 45) -> Scenario:
     """Cities plus data centers in one site list.
 
     The DC sites are appended after the cities, so DC indices are
@@ -58,7 +46,6 @@ def city_dc_scenario(
         sites=sites,
         terrain=us_terrain(),
         synthesis_config=SynthesisConfig(seed=seed),
-        pipeline=pipeline,
     )
 
 

@@ -8,16 +8,12 @@ scale and is reused across experiments.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from ..datasets.us_cities import us_population_centers
 from ..geo.fresnel import RadioProfile
 from ..geo.terrain import us_terrain
 from ..towers.los import LosConfig
 from .base import Scenario, build_scenario
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.pipeline import HopPipeline
 
 
 @lru_cache(maxsize=8)
@@ -26,7 +22,6 @@ def us_scenario(
     max_range_km: float = 100.0,
     usable_height_fraction: float = 1.0,
     seed: int = 42,
-    pipeline: "HopPipeline | None" = None,
 ) -> Scenario:
     """Build (and cache) the US scenario.
 
@@ -37,8 +32,6 @@ def us_scenario(
         usable_height_fraction: antenna mounting height restriction
             (§6.5 varies 0.45-1.0).
         seed: tower-synthesis seed.
-        pipeline: hop-enumeration pipeline override; the default shares
-            US terrain profiles across every sweep point.
     """
     sites = us_population_centers()[:n_sites]
     terrain = us_terrain()
@@ -54,5 +47,4 @@ def us_scenario(
         terrain=terrain,
         los_config=los,
         synthesis_config=SynthesisConfig(seed=seed),
-        pipeline=pipeline,
     )

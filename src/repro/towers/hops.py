@@ -74,11 +74,11 @@ def build_hop_graph(
 ) -> HopGraph:
     """Check every in-range tower pair for LOS and assemble the hop graph.
 
-    Delegates to the candidate-hop pipeline
-    (:mod:`repro.core.pipeline`): spatial pruning first, then chunked
-    vectorized LoS.  Construct a
-    :class:`~repro.core.pipeline.HopPipeline` directly to reuse terrain
-    caches across enumerations.
+    The one hop-enumeration front door.  Delegates to the candidate-hop
+    pipeline (:mod:`repro.core.pipeline`): spatial pruning first, then
+    chunked vectorized LoS.  Construct a
+    :class:`~repro.core.pipeline.HopPipeline` directly to read its work
+    accounting (``stats``) after the run.
     """
     from ..core.pipeline import HopPipeline
 

@@ -11,11 +11,14 @@ Hops longer than the radio's maximum range are infeasible outright.
 
 The batch checker vectorizes the profile sampling across many candidate
 pairs at once, which is what makes continental-scale hop enumeration
-tractable in pure Python.
+tractable in pure Python.  Every verdict samples the terrain model
+directly; :mod:`repro.core.pipeline` feeds the checker spatially pruned
+candidate pairs in bounded chunks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,16 @@ class LosConfig:
             raise ValueError("clutter must be non-negative")
         if self.min_samples < 3:
             raise ValueError("need at least 3 samples")
+        if self.max_samples < self.min_samples:
+            raise ValueError(
+                f"max_samples ({self.max_samples}) must be >= "
+                f"min_samples ({self.min_samples})"
+            )
+        if not (math.isfinite(self.sample_spacing_km) and self.sample_spacing_km > 0):
+            raise ValueError(
+                f"sample_spacing_km must be finite and positive "
+                f"(got {self.sample_spacing_km})"
+            )
 
 
 def _unit_vectors(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
@@ -107,11 +120,9 @@ def profile_sample_points(
 class LosChecker:
     """Vectorized line-of-sight feasibility for tower pairs.
 
-    Terrain access goes through :meth:`profile_terrain_m` and
-    :meth:`ground_elevation_m`, which subclasses may override — the
-    candidate-hop pipeline's :class:`~repro.core.pipeline.CachingLosChecker`
-    memoizes them so repeated enumerations (parameter sweeps, reruns)
-    skip the terrain sampling entirely.
+    Hop profiles are sampled through :meth:`profile_terrain_m`; the
+    candidate-hop pipeline (:mod:`repro.core.pipeline`) drives
+    :meth:`feasible_arrays` in chunks.
     """
 
     def __init__(self, terrain: TerrainModel, config: LosConfig | None = None):
@@ -154,10 +165,6 @@ class LosChecker:
         return self.terrain.elevation_m(
             sample_lats.ravel(), sample_lons.ravel()
         ).reshape(n, m)
-
-    def ground_elevation_m(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-        """Terrain heights at tower bases, (n,)."""
-        return np.atleast_1d(self.terrain.elevation_m(lats, lons))
 
     def batch_feasible(self, towers_a: list[Tower], towers_b: list[Tower]) -> np.ndarray:
         """Feasibility mask for aligned lists of tower pairs.
@@ -236,8 +243,8 @@ class LosChecker:
         terrain_m = self.profile_terrain_m(lat_a, lon_a, lat_b, lon_b, m)
 
         # Antenna altitudes at both ends.
-        ground_a = self.ground_elevation_m(lat_a, lon_a)
-        ground_b = self.ground_elevation_m(lat_b, lon_b)
+        ground_a = np.atleast_1d(self.terrain.elevation_m(lat_a, lon_a))
+        ground_b = np.atleast_1d(self.terrain.elevation_m(lat_b, lon_b))
         alt_a = ground_a + h_a * cfg.usable_height_fraction
         alt_b = ground_b + h_b * cfg.usable_height_fraction
 

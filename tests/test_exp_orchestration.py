@@ -87,6 +87,26 @@ class TestSpec:
         with pytest.raises(ValueError, match="LoS overrides"):
             ScenarioSpec(name="city_dc", usable_height_fraction=0.65)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_range_km", float("nan")),
+            ("max_range_km", float("inf")),
+            ("max_range_km", -5.0),
+            ("max_range_km", 0.0),
+            ("usable_height_fraction", float("nan")),
+            ("usable_height_fraction", float("inf")),
+            ("usable_height_fraction", -5.0),
+            ("usable_height_fraction", 0.0),
+            ("usable_height_fraction", 1.5),
+        ],
+    )
+    def test_bad_los_overrides_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec.from_dict({"scenario": {field: value}})
+
     def test_scalar_loads_rejected_cleanly(self):
         with pytest.raises(ValueError, match="loads must be a list"):
             ExperimentSpec.from_dict({"netsim": {"loads": 0.5}})

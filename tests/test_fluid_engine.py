@@ -382,4 +382,4 @@ class TestSpecAndStage:
             ExperimentSpec(netsim=NetsimSpec(engine="fluid", workload="table"))
         ) == _netsim_payload(ExperimentSpec(netsim=NetsimSpec(engine="fluid")))
         # Cache keys must move with the payload change.
-        assert STAGES["netsim"].version == "4"
+        assert STAGES["netsim"].version == "5"

@@ -1,4 +1,6 @@
-"""The candidate-hop pipeline: spatial index, cached LoS, solver registry."""
+"""The candidate-hop pipeline: spatial index, chunked LoS, solver registry."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,15 +17,11 @@ from repro.core import (
     solver_names,
 )
 from repro.core.heuristic import greedy_sequence
-from repro.core.pipeline import (
-    CachingLosChecker,
-    HopPipeline,
-    enumerate_hops,
-    shared_pipeline,
-)
+from repro.core.pipeline import HopPipeline
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.geo.spatial import GridIndex, brute_force_pairs_within
 from repro.geo.terrain import flat_terrain, us_terrain
+from repro.scenarios import us_scenario
 from repro.towers.hops import build_hop_graph, candidate_pairs
 from repro.towers.los import LosChecker, LosConfig
 from repro.towers.registry import Tower, TowerRegistry
@@ -129,69 +127,59 @@ class TestPipelineLos:
         graph = HopPipeline(LosChecker(us_terrain(), LosConfig())).enumerate_hops(reg)
         assert pair_set(graph.edges_a, graph.edges_b) == pair_set(hg.edges_a, hg.edges_b)
 
-    def test_caching_checker_same_verdicts_and_hits(self):
-        towers = random_towers(70, seed=6, spread=0.3)
-        reg = TowerRegistry(towers)
-        plain = HopPipeline(LosChecker(us_terrain(), LosConfig()))
-        cached = HopPipeline.from_terrain(us_terrain(), LosConfig())
-        want = plain.enumerate_hops(reg)
-        got_cold = cached.enumerate_hops(reg)
-        stats_cold = cached.checker.cache_stats()
-        got_warm = cached.enumerate_hops(reg)
-        stats_warm = cached.checker.cache_stats()
-        assert pair_set(got_cold.edges_a, got_cold.edges_b) == pair_set(
-            want.edges_a, want.edges_b
-        )
-        assert pair_set(got_warm.edges_a, got_warm.edges_b) == pair_set(
-            want.edges_a, want.edges_b
-        )
-        assert stats_cold["profile_hits"] == 0
-        # The warm run re-reads every profile from the cache.
-        assert stats_warm["profile_hits"] >= stats_cold["profile_misses"]
-        assert stats_warm["profile_misses"] == stats_cold["profile_misses"]
-
-    def test_cache_is_reversal_invariant(self):
-        terrain = us_terrain()
-        checker = CachingLosChecker(terrain, LosConfig())
-        plain = LosChecker(terrain, LosConfig())
-        t1 = Tower(tower_id=0, lat=39.0, lon=-100.0, height_m=120.0)
-        t2 = Tower(tower_id=1, lat=39.3, lon=-99.5, height_m=120.0)
-        assert checker.hop_feasible(t1, t2) == plain.hop_feasible(t1, t2)
-        # Reverse direction: same profile, flipped — and a cache hit.
-        assert checker.hop_feasible(t2, t1) == plain.hop_feasible(t2, t1)
-        stats = checker.cache_stats()
-        assert stats["profile_hits"] >= 1
-
     def test_enumerate_hops_flat_terrain_full_clique(self):
         # A tight cluster (hops <= ~30 km) on flat terrain: every
         # in-range pair clears bulge + Fresnel + clutter, so the hop
         # graph equals the candidate set.
         towers = random_towers(30, seed=8, spread=0.01)
         reg = TowerRegistry(towers)
-        graph = enumerate_hops(reg, LosChecker(flat_terrain(0.0)))
+        graph = build_hop_graph(reg, LosChecker(flat_terrain(0.0)))
         a, b = candidate_pairs(reg, LosConfig().radio.max_range_km)
         assert graph.n_edges == len(a)
-
-    def test_shared_pipeline_shares_terrain_cache(self):
-        towers = random_towers(40, seed=10, spread=0.2)
-        reg = TowerRegistry(towers)
-        p1 = shared_pipeline(us_terrain(), LosConfig())
-        p1.enumerate_hops(reg)
-        # Same terrain value, different config: profiles are reused.
-        p2 = shared_pipeline(us_terrain(), LosConfig(usable_height_fraction=0.85))
-        p2.enumerate_hops(reg)
-        assert p2.checker.cache_stats()["profile_hits"] > 0
 
     def test_stats_account_for_pruning(self):
         towers = random_towers(100, seed=12)
         reg = TowerRegistry(towers)
-        pipeline = HopPipeline.from_terrain(us_terrain(), LosConfig())
+        pipeline = HopPipeline(LosChecker(us_terrain(), LosConfig()))
         pipeline.enumerate_hops(reg)
         s = pipeline.stats
         assert s.all_pairs == 100 * 99 // 2
         assert 0 < s.candidate_pairs <= s.all_pairs
         assert s.feasible_hops <= s.candidate_pairs
         assert 0.0 <= s.pruned_fraction < 1.0
+
+
+def _hop_graph_digest(graph) -> str:
+    h = hashlib.sha256()
+    for arr in (graph.edges_a, graph.edges_b, graph.lengths_km):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestDefaultSubstratePin:
+    """The default ``us`` substrate's hop graph, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "usable_height, n_edges, digest",
+        [
+            (
+                1.0,
+                41416,
+                "98093faa9fe9c91ae2b691efd9fbd17c76dcdcd534d93f67d0508c0bed224b71",
+            ),
+            (
+                0.85,
+                37952,
+                "f802d6417314f9ec9e3b8dcfddcf99a1d817a401d198a9104c3b7528c545a11f",
+            ),
+        ],
+    )
+    def test_us_20_hop_graph(self, usable_height, n_edges, digest):
+        graph = us_scenario(n_sites=20, usable_height_fraction=usable_height).hop_graph
+        assert graph.edges_a.dtype == graph.edges_b.dtype == np.int64
+        assert graph.lengths_km.dtype == np.float64
+        assert graph.n_edges == n_edges
+        assert _hop_graph_digest(graph) == digest
 
 
 class TestSolverRegistry:

@@ -237,6 +237,21 @@ class TestLos:
         checker = LosChecker(flat_terrain())
         assert checker.batch_feasible([], []).shape == (0,)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"max_samples": 2}, "max_samples"),
+            ({"min_samples": 9, "max_samples": 8}, "max_samples"),
+            ({"sample_spacing_km": 0.0}, "sample_spacing_km"),
+            ({"sample_spacing_km": -3.0}, "sample_spacing_km"),
+            ({"sample_spacing_km": float("nan")}, "sample_spacing_km"),
+            ({"sample_spacing_km": float("inf")}, "sample_spacing_km"),
+        ],
+    )
+    def test_config_rejects_bad_sampling(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            LosConfig(**kwargs)
+
     def test_antenna_altitude(self):
         checker = LosChecker(flat_terrain(500.0), LosConfig(usable_height_fraction=0.5))
         t = Tower(0, 40.0, -100.0, 200.0)
