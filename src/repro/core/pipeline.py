@@ -108,9 +108,11 @@ class HopPipeline:
             return np.zeros(0, dtype=bool)
         lats, lons = registry.coordinates()
         heights = np.array([t.height_m for t in registry])
+        # One ground sample per tower, not one per pair endpoint.
+        alts = self.checker.antenna_altitudes_m(lats, lons, heights)
         return self.checker.feasible_arrays(
-            lats[cand_a], lons[cand_a], heights[cand_a],
-            lats[cand_b], lons[cand_b], heights[cand_b],
+            lats[cand_a], lons[cand_a], alts[cand_a],
+            lats[cand_b], lons[cand_b], alts[cand_b],
             chunk_size=self.chunk_size,
         )
 

@@ -374,7 +374,10 @@ STAGES: dict[str, Stage] = {
         # terrain-profile cache is gone; hop graphs byte-identical) and
         # ScenarioSpec rejects non-finite and out-of-range LoS
         # overrides; payloads and records unchanged.
-        version="2",
+        # v3: blocked terrain kernel (elevations bitwise equal), one
+        # ground sample per tower, terrain parameters validated; hop
+        # graphs, payloads and records unchanged.
+        version="3",
         deps=_no_deps,
         payload=_substrate_payload,
         run=_run_substrate,

@@ -134,6 +134,17 @@ class LosChecker:
         ground = self.terrain.point_elevation_m(tower.point)
         return ground + tower.height_m * self.config.usable_height_fraction
 
+    def antenna_altitudes_m(
+        self, lats: np.ndarray, lons: np.ndarray, heights_m: np.ndarray
+    ) -> np.ndarray:
+        """Antenna altitudes above sea level for tower coordinate arrays.
+
+        Terrain + usable height, elementwise equal to
+        :meth:`antenna_altitude_m` on each tower.
+        """
+        ground = self.terrain.elevation_m(lats, lons)
+        return ground + heights_m * self.config.usable_height_fraction
+
     def hop_feasible(self, a: Tower, b: Tower) -> bool:
         """Single-pair convenience wrapper around :meth:`batch_feasible`."""
         return bool(self.batch_feasible([a], [b])[0])
@@ -179,30 +190,35 @@ class LosChecker:
             raise ValueError("tower lists must be aligned")
         if len(towers_a) == 0:
             return np.zeros(0, dtype=bool)
+        rows = np.array([(t.lat, t.lon, t.height_m) for t in [*towers_a, *towers_b]])
+        # One ground sample per distinct tower, however many pairs it is in.
+        towers, inverse = np.unique(rows, axis=0, return_inverse=True)
+        alts = self.antenna_altitudes_m(towers[:, 0], towers[:, 1], towers[:, 2])
+        alts = alts[inverse.ravel()]
+        lats, lons = rows[:, 0], rows[:, 1]
+        n = len(towers_a)
         return self.feasible_arrays(
-            np.array([t.lat for t in towers_a]),
-            np.array([t.lon for t in towers_a]),
-            np.array([t.height_m for t in towers_a]),
-            np.array([t.lat for t in towers_b]),
-            np.array([t.lon for t in towers_b]),
-            np.array([t.height_m for t in towers_b]),
+            lats[:n], lons[:n], alts[:n], lats[n:], lons[n:], alts[n:]
         )
 
     def feasible_arrays(
         self,
         lat_a: np.ndarray,
         lon_a: np.ndarray,
-        h_a: np.ndarray,
+        alt_a: np.ndarray,
         lat_b: np.ndarray,
         lon_b: np.ndarray,
-        h_b: np.ndarray,
+        alt_b: np.ndarray,
         chunk_size: int | None = None,
     ) -> np.ndarray:
-        """Feasibility mask for aligned endpoint coordinate/height arrays.
+        """Feasibility mask for aligned endpoint coordinate/altitude arrays.
 
-        The array-based core behind :meth:`batch_feasible`: applies the
-        range filter, groups pairs by their deterministic per-pair
-        sample count, and (optionally) bounds each vectorized batch at
+        The array-based core behind :meth:`batch_feasible`.  ``alt_a`` and
+        ``alt_b`` are the endpoints' antenna altitudes above sea level
+        (:meth:`antenna_altitudes_m`), so callers sample each tower's
+        ground once however many pairs it is in.  Applies the range
+        filter, groups pairs by their deterministic per-pair sample
+        count, and (optionally) bounds each vectorized batch at
         ``chunk_size`` pairs so memory stays flat on huge candidate
         sets.  The candidate-hop pipeline calls this directly.
         """
@@ -220,8 +236,8 @@ class LosChecker:
             for start in range(0, len(idx), step):
                 sl = idx[start : start + step]
                 result[sl] = self._feasible_at_samples(
-                    lat_a[sl], lon_a[sl], h_a[sl],
-                    lat_b[sl], lon_b[sl], h_b[sl],
+                    lat_a[sl], lon_a[sl], alt_a[sl],
+                    lat_b[sl], lon_b[sl], alt_b[sl],
                     dist[sl], int(m),
                 )
         return result
@@ -230,10 +246,10 @@ class LosChecker:
         self,
         lat_a: np.ndarray,
         lon_a: np.ndarray,
-        h_a: np.ndarray,
+        alt_a: np.ndarray,
         lat_b: np.ndarray,
         lon_b: np.ndarray,
-        h_b: np.ndarray,
+        alt_b: np.ndarray,
         d: np.ndarray,
         m: int,
     ) -> np.ndarray:
@@ -241,12 +257,6 @@ class LosChecker:
         cfg = self.config
         t_frac = np.linspace(0.0, 1.0, m + 2)[1:-1]
         terrain_m = self.profile_terrain_m(lat_a, lon_a, lat_b, lon_b, m)
-
-        # Antenna altitudes at both ends.
-        ground_a = np.atleast_1d(self.terrain.elevation_m(lat_a, lon_a))
-        ground_b = np.atleast_1d(self.terrain.elevation_m(lat_b, lon_b))
-        alt_a = ground_a + h_a * cfg.usable_height_fraction
-        alt_b = ground_b + h_b * cfg.usable_height_fraction
 
         # Sight-line altitude at each sample (linear in along-path distance).
         sight = alt_a[:, None] + (alt_b - alt_a)[:, None] * t_frac[None, :]
